@@ -1,18 +1,18 @@
 #include "harness/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "support/logging.h"
 
 namespace rtd::harness {
 
-Json::Json(uint64_t value) : kind_(Kind::Int)
+Json::Json(uint64_t value)
+    : kind_(value > static_cast<uint64_t>(INT64_MAX) ? Kind::UInt
+                                                     : Kind::Int),
+      int_(static_cast<int64_t>(value))
 {
-    RTDC_ASSERT(value <= static_cast<uint64_t>(INT64_MAX),
-                "JSON integer overflow");
-    int_ = static_cast<int64_t>(value);
 }
 
 Json::Json(double value) : kind_(Kind::Double), double_(value)
@@ -34,6 +34,7 @@ Json::array()
 {
     Json v;
     v.kind_ = Kind::Array;
+    v.value_.emplace<std::vector<Json>>();
     return v;
 }
 
@@ -42,6 +43,7 @@ Json::object()
 {
     Json v;
     v.kind_ = Kind::Object;
+    v.value_.emplace<Members>();
     return v;
 }
 
@@ -59,67 +61,83 @@ Json::asInt() const
     return int_;
 }
 
+uint64_t
+Json::asUInt64() const
+{
+    RTDC_ASSERT(isUInt64(), "JSON value is not an unsigned integer");
+    return static_cast<uint64_t>(int_);
+}
+
 double
 Json::asDouble() const
 {
     RTDC_ASSERT(isNumber(), "JSON value is not a number");
-    return kind_ == Kind::Int ? static_cast<double>(int_) : double_;
+    switch (kind_) {
+      case Kind::Int: return static_cast<double>(int_);
+      case Kind::UInt: return static_cast<double>(asUInt64());
+      default: return double_;
+    }
 }
 
 const std::string &
 Json::asString() const
 {
     RTDC_ASSERT(kind_ == Kind::String, "JSON value is not a string");
-    return string_;
+    return std::get<std::string>(value_);
 }
 
 void
 Json::push(Json value)
 {
     RTDC_ASSERT(kind_ == Kind::Array, "push() on a non-array JSON value");
-    items_.push_back(std::move(value));
+    std::get<std::vector<Json>>(value_).push_back(std::move(value));
 }
 
 size_t
 Json::size() const
 {
-    return kind_ == Kind::Array ? items_.size() : members_.size();
+    switch (kind_) {
+      case Kind::Array: return std::get<std::vector<Json>>(value_).size();
+      case Kind::Object: return std::get<Members>(value_).size();
+      default: return 0;
+    }
 }
 
 const Json &
 Json::at(size_t index) const
 {
-    RTDC_ASSERT(kind_ == Kind::Array && index < items_.size(),
+    RTDC_ASSERT(kind_ == Kind::Array && index < size(),
                 "JSON array index out of range");
-    return items_[index];
+    return std::get<std::vector<Json>>(value_)[index];
 }
 
 const std::vector<Json> &
 Json::items() const
 {
     RTDC_ASSERT(kind_ == Kind::Array, "items() on a non-array JSON value");
-    return items_;
+    return std::get<std::vector<Json>>(value_);
 }
 
 void
-Json::set(const std::string &key, Json value)
+Json::set(std::string_view key, Json value)
 {
     RTDC_ASSERT(kind_ == Kind::Object, "set() on a non-object JSON value");
-    for (auto &member : members_) {
+    Members &members = std::get<Members>(value_);
+    for (auto &member : members) {
         if (member.first == key) {
             member.second = std::move(value);
             return;
         }
     }
-    members_.emplace_back(key, std::move(value));
+    members.emplace_back(key, std::move(value));
 }
 
 const Json *
-Json::find(const std::string &key) const
+Json::find(std::string_view key) const
 {
     if (kind_ != Kind::Object)
         return nullptr;
-    for (const auto &member : members_) {
+    for (const auto &member : std::get<Members>(value_)) {
         if (member.first == key)
             return &member.second;
     }
@@ -127,10 +145,11 @@ Json::find(const std::string &key) const
 }
 
 const Json &
-Json::get(const std::string &key) const
+Json::get(std::string_view key) const
 {
     const Json *value = find(key);
-    RTDC_ASSERT(value != nullptr, "missing JSON member '%s'", key.c_str());
+    RTDC_ASSERT(value != nullptr, "missing JSON member '%.*s'",
+                static_cast<int>(key.size()), key.data());
     return *value;
 }
 
@@ -139,16 +158,25 @@ Json::members() const
 {
     RTDC_ASSERT(kind_ == Kind::Object,
                 "members() on a non-object JSON value");
-    return members_;
+    return std::get<Members>(value_);
 }
 
 namespace {
 
+/** Append @p s as a quoted JSON string; bytes that need no escape are
+ *  copied in runs. */
 void
-appendEscaped(std::string &out, const std::string &s)
+appendEscaped(std::string &out, std::string_view s)
 {
+    static const char kHex[] = "0123456789abcdef";
     out += '"';
-    for (unsigned char c : s) {
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -157,17 +185,26 @@ appendEscaped(std::string &out, const std::string &s)
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
+          default: {
+            const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                   kHex[c & 0xf]};
+            out.append(escape, sizeof escape);
+          }
         }
     }
+    out.append(s, run, s.size() - run);
     out += '"';
+}
+
+/** Append @p value the way printf's %lld / %llu / %.*g would. */
+template <typename... Format>
+void
+appendNumber(std::string &out, Format... value_and_format)
+{
+    char buf[40];
+    std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, value_and_format...);
+    out.append(buf, r.ptr);
 }
 
 void
@@ -184,7 +221,6 @@ appendNewline(std::string &out, int indent, int depth)
 void
 Json::dumpTo(std::string &out, int indent, int depth) const
 {
-    char buf[40];
     switch (kind_) {
       case Kind::Null:
         out += "null";
@@ -193,44 +229,50 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Int:
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(int_));
-        out += buf;
+        appendNumber(out, int_);
+        break;
+      case Kind::UInt:
+        appendNumber(out, asUInt64());
         break;
       case Kind::Double:
-        std::snprintf(buf, sizeof(buf), exact_ ? "%.17g" : "%.10g",
-                      double_);
-        out += buf;
+        // to_chars' "general" format at a given precision is defined
+        // as printf's %.*g: the bytes are the snprintf ones.
+        appendNumber(out, double_, std::chars_format::general,
+                     exact_ ? 17 : 10);
         break;
       case Kind::String:
-        appendEscaped(out, string_);
+        appendEscaped(out, std::get<std::string>(value_));
         break;
-      case Kind::Array:
+      case Kind::Array: {
+        const std::vector<Json> &items = std::get<std::vector<Json>>(value_);
         out += '[';
-        for (size_t i = 0; i < items_.size(); ++i) {
+        for (size_t i = 0; i < items.size(); ++i) {
             if (i)
                 out += ',';
             appendNewline(out, indent, depth + 1);
-            items_[i].dumpTo(out, indent, depth + 1);
+            items[i].dumpTo(out, indent, depth + 1);
         }
-        if (!items_.empty())
+        if (!items.empty())
             appendNewline(out, indent, depth);
         out += ']';
         break;
-      case Kind::Object:
+      }
+      case Kind::Object: {
+        const Members &members = std::get<Members>(value_);
         out += '{';
-        for (size_t i = 0; i < members_.size(); ++i) {
+        for (size_t i = 0; i < members.size(); ++i) {
             if (i)
                 out += ',';
             appendNewline(out, indent, depth + 1);
-            appendEscaped(out, members_[i].first);
+            appendEscaped(out, members[i].first);
             out += indent > 0 ? ": " : ":";
-            members_[i].second.dumpTo(out, indent, depth + 1);
+            members[i].second.dumpTo(out, indent, depth + 1);
         }
-        if (!members_.empty())
+        if (!members.empty())
             appendNewline(out, indent, depth);
         out += '}';
         break;
+      }
     }
 }
 
@@ -242,13 +284,29 @@ Json::dump(int indent) const
     return out;
 }
 
-namespace {
+std::string
+Json::dumpWithRaw(std::string_view key, std::string_view rawJson) const
+{
+    RTDC_ASSERT(kind_ == Kind::Object,
+                "dumpWithRaw() on a non-object JSON value");
+    std::string out;
+    dumpTo(out, 0, 0);
+    out.reserve(out.size() + key.size() + rawJson.size() + 4);
+    out.pop_back();  // reopen the object: drop its closing '}'
+    if (size() != 0)
+        out += ',';
+    appendEscaped(out, key);
+    out += ':';
+    out.append(rawJson);
+    out += '}';
+    return out;
+}
 
 /** Recursive-descent JSON parser over a string. */
-class Parser
+class Json::Parser
 {
   public:
-    Parser(const std::string &text) : text_(text) {}
+    Parser(std::string_view text) : text_(text) {}
 
     bool parse(Json *out, std::string *error)
     {
@@ -283,14 +341,13 @@ class Parser
             ++pos_;
     }
 
-    bool literal(const char *word, Json value, Json &out)
+    bool literal(std::string_view word, Json value, Json &out)
     {
-        size_t len = std::string(word).size();
-        if (text_.compare(pos_, len, word) != 0) {
+        if (text_.compare(pos_, word.size(), word) != 0) {
             error_ = "invalid literal";
             return false;
         }
-        pos_ += len;
+        pos_ += word.size();
         out = std::move(value);
         return true;
     }
@@ -339,12 +396,14 @@ class Parser
     {
         ++pos_;  // opening quote
         while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_];
-            if (c != '\\') {
-                s += c;
+            // Copy the run up to the next quote or escape in one go.
+            size_t run = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"' &&
+                   text_[pos_] != '\\')
                 ++pos_;
-                continue;
-            }
+            s.append(text_, run, pos_ - run);
+            if (pos_ >= text_.size() || text_[pos_] == '"')
+                break;
             if (pos_ + 1 >= text_.size()) {
                 error_ = "bad escape";
                 return false;
@@ -405,6 +464,14 @@ class Parser
         return true;
     }
 
+    /**
+     * Numbers. The token is the longest run of [0-9.eE+-]. from_chars
+     * reads the common spellings; whatever it rejects or reads only in
+     * part (a leading '+', an exponent without digits, a value out of
+     * range) goes to strtod, so every token means what strtoll and
+     * strtod make of it. Integers out of int64 range become UInt when
+     * they fit uint64, else the nearest double.
+     */
     bool parseNumber(Json &out)
     {
         size_t start = pos_;
@@ -427,17 +494,31 @@ class Parser
             error_ = "invalid value";
             return false;
         }
-        std::string token = text_.substr(start, pos_ - start);
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
         if (integral) {
-            errno = 0;
-            char *end = nullptr;
-            long long v = std::strtoll(token.c_str(), &end, 10);
-            if (errno == 0 && end && *end == '\0') {
-                out = Json(static_cast<int64_t>(v));
+            int64_t v = 0;
+            std::from_chars_result r = std::from_chars(first, last, v);
+            if (r.ec == std::errc() && r.ptr == last) {
+                out = Json(v);
+                return true;
+            }
+            uint64_t u = 0;
+            r = std::from_chars(first, last, u);
+            if (r.ec == std::errc() && r.ptr == last) {
+                out = Json(u);
                 return true;
             }
             // Fall through to double for out-of-range integers.
+        } else {
+            double d = 0.0;
+            std::from_chars_result r = std::from_chars(first, last, d);
+            if (r.ec == std::errc() && r.ptr == last) {
+                out = Json(d);
+                return true;
+            }
         }
+        std::string token(first, last);
         char *end = nullptr;
         double d = std::strtod(token.c_str(), &end);
         if (!end || *end != '\0') {
@@ -448,25 +529,25 @@ class Parser
         return true;
     }
 
+    // Containers are built in @p out and each element is parsed in
+    // place: no Json is moved on the way in.
     bool parseArray(Json &out)
     {
         if (!enter())
             return false;
         ++pos_;  // '['
-        Json array = Json::array();
+        out = Json::array();
         skipSpace();
         if (pos_ < text_.size() && text_[pos_] == ']') {
             ++pos_;
             leave();
-            out = std::move(array);
             return true;
         }
         while (true) {
             skipSpace();
-            Json value;
-            if (!parseValue(value))
+            if (!parseValue(
+                    std::get<std::vector<Json>>(out.value_).emplace_back()))
                 return false;
-            array.push(std::move(value));
             skipSpace();
             if (pos_ >= text_.size()) {
                 error_ = "unterminated array";
@@ -479,7 +560,6 @@ class Parser
             if (text_[pos_] == ']') {
                 ++pos_;
                 leave();
-                out = std::move(array);
                 return true;
             }
             error_ = "expected ',' or ']'";
@@ -492,12 +572,11 @@ class Parser
         if (!enter())
             return false;
         ++pos_;  // '{'
-        Json object = Json::object();
+        out = Json::object();
         skipSpace();
         if (pos_ < text_.size() && text_[pos_] == '}') {
             ++pos_;
             leave();
-            out = std::move(object);
             return true;
         }
         while (true) {
@@ -516,11 +595,17 @@ class Parser
             }
             ++pos_;
             skipSpace();
-            Json value;
+            // Duplicate keys keep the first: a repeat is parsed and
+            // dropped. A new key is appended directly (set() would
+            // scan the members a second time).
+            Json duplicate;
+            Json &value = out.find(key)
+                              ? duplicate
+                              : std::get<Members>(out.value_)
+                                    .emplace_back(std::move(key), Json())
+                                    .second;
             if (!parseValue(value))
                 return false;
-            if (!object.find(key))
-                object.set(key, std::move(value));
             skipSpace();
             if (pos_ >= text_.size()) {
                 error_ = "unterminated object";
@@ -533,7 +618,6 @@ class Parser
             if (text_[pos_] == '}') {
                 ++pos_;
                 leave();
-                out = std::move(object);
                 return true;
             }
             error_ = "expected ',' or '}'";
@@ -541,16 +625,14 @@ class Parser
         }
     }
 
-    const std::string &text_;
+    std::string_view text_;
     size_t pos_ = 0;
     int depth_ = 0;
     std::string error_;
 };
 
-} // namespace
-
 bool
-Json::parse(const std::string &text, Json *out, std::string *error)
+Json::parse(std::string_view text, Json *out, std::string *error)
 {
     return Parser(text).parse(out, error);
 }

@@ -5,10 +5,17 @@
  * The harness emits machine-readable `BENCH_*.json` files next to the
  * human tables and tests round-trip them, so we need both a writer and a
  * parser. This is a deliberately small, dependency-free implementation:
- * ordered objects (deterministic output), 64-bit integers kept exact,
- * doubles printed with "%.10g". Not a general-purpose JSON library — no
- * comments, no trailing commas, objects with duplicate keys keep the
- * first.
+ * ordered objects (deterministic output), integers kept exact over the
+ * whole int64 and uint64 range, doubles printed with "%.10g". Not a
+ * general-purpose JSON library — no comments, no trailing commas,
+ * objects with duplicate keys keep the first.
+ *
+ * The serve daemon's warm path is JSON-bound, so the codec formats and
+ * parses numbers with <charconv>, copies strings in runs and keeps its
+ * nodes small. Its bytes
+ * are pinned to printf's and strtod's definitions
+ * (tests/harness/test_json.cc): stores and journals written by earlier
+ * builds stay readable and keep their content keys.
  */
 
 #ifndef RTDC_HARNESS_JSON_H
@@ -16,7 +23,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace rtd::harness {
@@ -29,7 +38,11 @@ class Json
     {
         Null,
         Bool,
+        /** Any integer in int64 range. */
         Int,
+        /** An integer above INT64_MAX (up to UINT64_MAX); every
+         *  smaller integer is Int, whichever constructor built it. */
+        UInt,
         Double,
         String,
         Array,
@@ -58,9 +71,14 @@ class Json
      * bytes.
      */
     static Json exactDouble(double value);
-    Json(const char *value) : kind_(Kind::String), string_(value) {}
+    Json(const char *value)
+        : kind_(Kind::String),
+          value_(std::in_place_type<std::string>, value)
+    {
+    }
     Json(std::string value)
-        : kind_(Kind::String), string_(std::move(value))
+        : kind_(Kind::String),
+          value_(std::in_place_type<std::string>, std::move(value))
     {
     }
 
@@ -71,14 +89,23 @@ class Json
     bool isNull() const { return kind_ == Kind::Null; }
     bool isNumber() const
     {
-        return kind_ == Kind::Int || kind_ == Kind::Double;
+        return kind_ == Kind::Int || kind_ == Kind::UInt ||
+               kind_ == Kind::Double;
+    }
+    /** True for an integer in uint64 range: a non-negative Int or a
+     *  UInt. */
+    bool isUInt64() const
+    {
+        return (kind_ == Kind::Int && int_ >= 0) || kind_ == Kind::UInt;
     }
 
     /// @name Scalar accessors (panic on kind mismatch)
     /// @{
     bool asBool() const;
     int64_t asInt() const;
-    /** Numeric value as double (works for Int and Double). */
+    /** Integer value as uint64 (needs isUInt64()). */
+    uint64_t asUInt64() const;
+    /** Numeric value as double (works for every number kind). */
     double asDouble() const;
     const std::string &asString() const;
     /// @}
@@ -93,11 +120,11 @@ class Json
 
     /// @name Object operations (insertion order preserved)
     /// @{
-    void set(const std::string &key, Json value);
+    void set(std::string_view key, Json value);
     /** Member lookup; nullptr when absent (or not an object). */
-    const Json *find(const std::string &key) const;
+    const Json *find(std::string_view key) const;
     /** Member lookup; panics when absent. */
-    const Json &get(const std::string &key) const;
+    const Json &get(std::string_view key) const;
     const std::vector<std::pair<std::string, Json>> &members() const;
     /// @}
 
@@ -109,28 +136,49 @@ class Json
     std::string dump(int indent = 0) const;
 
     /**
+     * Compact dump of this object with one more member, @p key, whose
+     * value is @p rawJson: compact JSON dumped earlier, spliced in
+     * verbatim. The bytes equal set(key, <that value>) then dump(),
+     * without encoding the value again.
+     */
+    std::string dumpWithRaw(std::string_view key,
+                            std::string_view rawJson) const;
+
+    /**
      * Parse @p text into @p out. Returns false (and fills @p error, when
      * non-null) on malformed input; @p out is untouched on failure.
      * Nesting beyond maxParseDepth (a hostile wire peer's stack-
      * exhaustion vector) is a parse error, not a crash.
      */
-    static bool parse(const std::string &text, Json *out,
+    static bool parse(std::string_view text, Json *out,
                       std::string *error = nullptr);
 
     /** Maximum container nesting parse() accepts. */
     static constexpr int maxParseDepth = 256;
 
   private:
+    class Parser;
+
     void dumpTo(std::string &out, int indent, int depth) const;
 
+    using Members = std::vector<std::pair<std::string, Json>>;
+
+    // A node holds one scalar or one container, so the two share
+    // storage: a small node is cheap to move, and parsing and building
+    // trees move nodes every time a vector of them grows.
     Kind kind_ = Kind::Null;
-    bool bool_ = false;
-    int64_t int_ = 0;
-    double double_ = 0.0;
     bool exact_ = false;  ///< print double_ with full precision
-    std::string string_;
-    std::vector<Json> items_;
-    std::vector<std::pair<std::string, Json>> members_;
+    /** The scalar of a Bool, Int, UInt or Double; kind_ names the
+     *  member in use (UInt keeps its uint64 bit pattern in int_). */
+    union
+    {
+        bool bool_;
+        int64_t int_ = 0;
+        double double_;
+    };
+    /** The text, items or members of a String, Array or Object. */
+    std::variant<std::monostate, std::string, std::vector<Json>, Members>
+        value_;
 };
 
 } // namespace rtd::harness

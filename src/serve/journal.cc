@@ -48,6 +48,40 @@ errnoString(const std::string &what)
 
 } // namespace
 
+std::string
+sweepBeginPayload(const std::string &id, const std::string &label,
+                  int priority, const std::vector<std::string> &jobDumps)
+{
+    size_t bytes = 2;
+    for (const std::string &dump : jobDumps)
+        bytes += dump.size() + 1;
+    std::string jobs;
+    jobs.reserve(bytes);
+    jobs += '[';
+    for (size_t i = 0; i < jobDumps.size(); ++i) {
+        if (i)
+            jobs += ',';
+        jobs += jobDumps[i];
+    }
+    jobs += ']';
+    harness::Json head = harness::Json::object();
+    head.set("id", id);
+    head.set("label", label);
+    head.set("priority", int64_t(priority));
+    return head.dumpWithRaw("jobs", jobs);
+}
+
+std::string
+jobDonePayload(const std::string &id, size_t index, bool cached,
+               const std::string &rowDump)
+{
+    harness::Json head = harness::Json::object();
+    head.set("id", id);
+    head.set("index", uint64_t(index));
+    head.set("cached", cached);
+    return head.dumpWithRaw("result", rowDump);
+}
+
 bool
 JournalFsyncPolicy::parse(const std::string &text,
                           JournalFsyncPolicy &out)
@@ -171,7 +205,7 @@ Journal::replay(
                   payload_len) != stored_crc)
             break;
         harness::Json parsed;
-        if (!harness::Json::parse(std::string(payload, payload_len),
+        if (!harness::Json::parse(std::string_view(payload, payload_len),
                                   &parsed))
             break;
         visit(type, parsed);
@@ -199,12 +233,17 @@ Journal::replay(
 bool
 Journal::append(uint32_t type, const harness::Json &payload)
 {
+    return appendDumped(type, payload.dump());
+}
+
+bool
+Journal::appendDumped(uint32_t type, const std::string &payload)
+{
     if (fd_ < 0)
         return false;
     std::string record;
-    std::string dumped = payload.dump();
-    record.reserve(kHeaderBytes + dumped.size());
-    frameRecord(record, type, dumped);
+    record.reserve(kHeaderBytes + payload.size());
+    frameRecord(record, type, payload);
     if (!fsio::writeAll(fd_, record.data(), record.size())) {
         // A failed (possibly short) append leaves a torn tail; cut it
         // back off so the journal stays valid and the *next* append
@@ -244,7 +283,7 @@ Journal::compact(const std::vector<JournalRecord> &records)
         return false;
     std::string bytes;
     for (const JournalRecord &record : records)
-        frameRecord(bytes, record.type, record.payload.dump());
+        frameRecord(bytes, record.type, record.payload);
     // One write, one fsync, one rename: a crash at any point leaves
     // either the old journal or the new one, never a mix (a torn temp
     // file is simply never renamed into place).

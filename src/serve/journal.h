@@ -30,6 +30,11 @@
  *                    "result": JOBRESULT }
  *     kSweepCancel { "id": S }
  *
+ * The daemon encodes each job and each row once and splices those
+ * bytes into its records (sweepBeginPayload, jobDonePayload); the
+ * result is byte-identical to dumping the same payload built as a
+ * harness::Json.
+ *
  * ## Torn tails
  *
  * A crash (or an injected short write) can leave a partial record at
@@ -108,12 +113,23 @@ struct JournalStats
     uint64_t sizeBytes = 0;       ///< current file size
 };
 
-/** One parsed record, for replay callbacks and compaction input. */
+/** One record for compaction input: its type and compact JSON. */
 struct JournalRecord
 {
     uint32_t type = 0;
-    harness::Json payload;
+    std::string payload;  ///< compact JSON text
 };
+
+/// @name Record payloads (compact JSON, see the file comment)
+/// @{
+/** kSweepBegin; @p jobDumps are each job's encodeJob(job).dump(). */
+std::string sweepBeginPayload(const std::string &id,
+                              const std::string &label, int priority,
+                              const std::vector<std::string> &jobDumps);
+/** kJobDone; @p rowDump is encodeJobResult(row).dump(). */
+std::string jobDonePayload(const std::string &id, size_t index,
+                           bool cached, const std::string &rowDump);
+/// @}
 
 /** Append-only, CRC-framed write-ahead log. Not thread-safe. */
 class Journal
@@ -160,6 +176,9 @@ class Journal
      * returned — the journal stays valid and append-ready.
      */
     bool append(uint32_t type, const harness::Json &payload);
+
+    /** append() of an already-dumped compact JSON @p payload. */
+    bool appendDumped(uint32_t type, const std::string &payload);
 
     /**
      * Rewrite the journal to exactly @p records (checkpoint): temp

@@ -107,29 +107,34 @@ bool
 LineChannel::readLine(std::string &line)
 {
     for (;;) {
-        size_t newline = buffer_.find('\n');
+        size_t newline = buffer_.find('\n', scanned_);
         if (newline != std::string::npos) {
-            if (newline > maxLine_) {
+            if (newline - start_ > maxLine_) {
                 lineTooLong_ = true;
                 return false;
             }
-            line.assign(buffer_, 0, newline);
+            line.assign(buffer_, start_, newline - start_);
             if (!line.empty() && line.back() == '\r')
                 line.pop_back();
-            buffer_.erase(0, newline + 1);
+            start_ = scanned_ = newline + 1;
             return true;
         }
+        scanned_ = buffer_.size();
         // Anti-OOM bound: a peer may not stream an unbounded line.
         // Failing here (instead of buffering forever) caps the damage
         // at maxLine_ bytes; the daemon replies with a structured
         // line_too_long error and drops the connection.
-        if (buffer_.size() > maxLine_) {
+        if (buffer_.size() - start_ > maxLine_) {
             lineTooLong_ = true;
             return false;
         }
         if (fd_ < 0)
             return false;
-        char chunk[4096];
+        // Drop the lines already returned once per read, not per line.
+        buffer_.erase(0, start_);
+        scanned_ -= start_;
+        start_ = 0;
+        char chunk[kReadChunk];
         ssize_t n = ::read(fd_, chunk, sizeof chunk);
         if (n < 0) {
             if (errno == EINTR)
@@ -196,6 +201,15 @@ errorReply(const std::string &message)
     reply.set("ok", false);
     reply.set("error", message);
     return reply;
+}
+
+std::string
+resultRowLine(size_t job, bool cached, const std::string &rowDump)
+{
+    harness::Json head = okReply();
+    head.set("job", uint64_t(job));
+    head.set("cached", cached);
+    return head.dumpWithRaw("result", rowDump);
 }
 
 } // namespace rtd::serve

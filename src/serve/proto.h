@@ -149,20 +149,36 @@ class LineChannel
      *  not touch the socket). */
     bool hasBufferedLine() const
     {
-        return buffer_.find('\n') != std::string::npos;
+        return buffer_.find('\n', scanned_) != std::string::npos;
     }
 
   private:
+    /** Bytes asked of each read(): a multi-MiB submit line arrives in
+     *  a few dozen reads, not thousands. */
+    static constexpr size_t kReadChunk = 64 << 10;
+
     int fd_ = -1;
     size_t maxLine_ = kDefaultMaxLine;
     bool lineTooLong_ = false;
+    /** Received bytes; those before start_ were already returned. */
     std::string buffer_;
+    size_t start_ = 0;
+    /** buffer_[start_, scanned_) holds no '\n': each byte is scanned
+     *  once however many reads a long line takes. */
+    size_t scanned_ = 0;
 };
 
 /// @name Reply builders
 /// @{
 harness::Json okReply();
 harness::Json errorReply(const std::string &message);
+/**
+ * One "results" stream row, { "ok": true, "job": i, "cached": B,
+ * "result": JOBRESULT }, with @p rowDump (encodeJobResult(row).dump())
+ * spliced in as the result.
+ */
+std::string resultRowLine(size_t job, bool cached,
+                          const std::string &rowDump);
 /// @}
 
 } // namespace rtd::serve

@@ -349,25 +349,11 @@ Server::handleSubmit(const harness::Json &request)
     auto sweep = std::make_shared<Sweep>();
     sweep->label = label->asString();
     sweep->priority = priority;
-    sweep->jobs.reserve(jobs->size());
-    for (size_t i = 0; i < jobs->size(); ++i) {
-        SweepJob entry;
-        if (!decodeJob(jobs->at(i), entry.job)) {
-            return errorReply("malformed job at index " +
-                              std::to_string(i));
-        }
-        entry.key = jobContentKey(entry.job);
-        entry.cancel = std::make_shared<std::atomic<bool>>(false);
-        sweep->jobs.push_back(std::move(entry));
-    }
-
-    // The sweep id and the journal both use the canonical re-encoding
-    // of the *decoded* jobs, so any client JSON that means the same
-    // job list derives the same id.
-    harness::Json encoded = harness::Json::array();
-    for (const SweepJob &entry : sweep->jobs)
-        encoded.push(encodeJob(entry.job));
-    const std::string id = sweepContentId(sweep->label, encoded);
+    std::vector<std::string> dumps;
+    size_t bad = 0;
+    if (!decodeSweepJobs(*jobs, *sweep, dumps, bad))
+        return errorReply("malformed job at index " + std::to_string(bad));
+    const std::string id = sweepContentId(sweep->label, dumps);
     sweep->id = id;
 
     // Idempotent submits: the same content id while the first instance
@@ -396,9 +382,8 @@ Server::handleSubmit(const harness::Json &request)
     // indexed ok row is done before it ever touches the queue.
     size_t cached = 0;
     for (SweepJob &entry : sweep->jobs) {
-        harness::JobResult row;
-        if (lookupResult(entry.key, row)) {
-            entry.result = std::move(row);
+        entry.row = lookupResult(entry.key);
+        if (entry.row) {
             entry.done = true;
             entry.fromCache = true;
             ++cached;
@@ -410,7 +395,11 @@ Server::handleSubmit(const harness::Json &request)
     // WAL ordering: the submission must be durable before any of its
     // jobs can run — a dispatcher could otherwise journal a JobDone
     // whose SweepBegin never landed.
-    journalSweepBegin(*sweep, encoded);
+    std::string begin =
+        sweepBeginPayload(id, sweep->label, priority, dumps);
+    journalSweepBegin(begin);
+    if (cached < sweep->jobs.size())
+        sweep->beginPayload = std::move(begin);
 
     {
         std::lock_guard<std::mutex> lock(sweepMutex_);
@@ -470,12 +459,40 @@ Server::handleSubmit(const harness::Json &request)
         jobsDone_->add(cached);
     }
     sweepCv_.notify_all();
+    // Every submit appends a SweepBegin, so a daemon answering only
+    // from the result index must compact here too: runSweepJob never
+    // runs for it. The sweep is in sweeps_ by now, so a snapshot taken
+    // here keeps its Begin whenever it still has jobs to run.
+    maybeCompactJournal(false);
 
     harness::Json reply = okReply();
     reply.set("sweep_id", id);
     reply.set("jobs", uint64_t(sweep->jobs.size()));
     reply.set("cached", uint64_t(cached));
     return reply;
+}
+
+bool
+Server::decodeSweepJobs(const harness::Json &jobs, Sweep &sweep,
+                        std::vector<std::string> &dumps, size_t &bad)
+{
+    sweep.jobs.reserve(jobs.size());
+    dumps.reserve(jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SweepJob entry;
+        if (!decodeJob(jobs.at(i), entry.job)) {
+            bad = i;
+            return false;
+        }
+        // The canonical re-encoding of the *decoded* job, so any
+        // client JSON that means the same job derives the same key and
+        // the same sweep id.
+        dumps.push_back(encodeJob(entry.job).dump());
+        entry.key = jobContentKeyFromDump(dumps.back());
+        entry.cancel = std::make_shared<std::atomic<bool>>(false);
+        sweep.jobs.push_back(std::move(entry));
+    }
+    return true;
 }
 
 void
@@ -509,14 +526,17 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
         result = executeJob(entry.job, artifacts_, entry.cancel.get());
     }
 
-    bool index_it = result.ok;
+    const bool ok = result.ok;
+    auto row = std::make_shared<const std::string>(
+        encodeJobResult(result).dump());
     bool journal_row;
     {
         std::lock_guard<std::mutex> lock(sweepMutex_);
-        entry.result = std::move(result);
+        entry.row = row;
         entry.done = true;
-        ++sweep->completed;
-        if (!entry.result.ok)
+        if (++sweep->completed == sweep->jobs.size())
+            std::string().swap(sweep->beginPayload);  // free, not clear
+        if (!ok)
             ++sweep->failed;
         // Rows produced while stopping or after a cancel are artifacts
         // of the interruption ("cancelled" failures), not results —
@@ -526,8 +546,8 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
         journal_row = !sweep->cancelled &&
                       !stopping_.load(std::memory_order_relaxed);
     }
-    if (index_it)
-        indexResult(entry.key, sweep->jobs[index].result);
+    if (ok)
+        indexResult(entry.key, row);
     if (journal_row) {
         journalJobDone(*sweep, index);
         maybeCompactJournal(false);
@@ -538,45 +558,50 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
         jobsDone_->add(1);
         if (slot < slotJobs_.size())
             ++slotJobs_[slot];
-        if (!sweep->jobs[index].result.ok)
+        if (!ok)
             jobsFailed_->add(1);
-        jobWallMs_->record(static_cast<uint64_t>(
-            sweep->jobs[index].result.wallSeconds * 1000.0));
+        jobWallMs_->record(
+            static_cast<uint64_t>(result.wallSeconds * 1000.0));
     }
     sweepCv_.notify_all();
 }
 
-bool
-Server::lookupResult(const std::string &key, harness::JobResult &out)
+std::shared_ptr<const std::string>
+Server::lookupResult(const std::string &key)
 {
     {
         std::lock_guard<std::mutex> lock(indexMutex_);
         auto it = resultIndex_.find(key);
         if (it != resultIndex_.end())
-            return decodeJobResult(it->second, out);
+            return it->second;
     }
     if (!diskCache_)
-        return false;
+        return nullptr;
     std::string bytes;
     if (!diskCache_->load(kResultPrefix + key, bytes))
-        return false;
-    harness::Json row;
-    if (!harness::Json::parse(bytes, &row) || !decodeJobResult(row, out))
-        return false;  // stale/corrupt row degrades to a rerun
+        return nullptr;
+    // Revive once per daemon: validate, then keep the canonical
+    // re-encoding, so the bytes streamed are the ones a fresh run of
+    // the job would produce.
+    harness::Json parsed;
+    harness::JobResult row;
+    if (!harness::Json::parse(bytes, &parsed) ||
+        !decodeJobResult(parsed, row) || !row.ok)
+        return nullptr;  // stale/corrupt row degrades to a rerun
+    auto encoded =
+        std::make_shared<const std::string>(encodeJobResult(row).dump());
     std::lock_guard<std::mutex> lock(indexMutex_);
-    resultIndex_.emplace(key, std::move(row));
-    return true;
+    return resultIndex_.emplace(key, std::move(encoded)).first->second;
 }
 
 void
 Server::indexResult(const std::string &key,
-                    const harness::JobResult &result)
+                    const std::shared_ptr<const std::string> &row)
 {
-    harness::Json row = encodeJobResult(result);
     if (diskCache_)
-        diskCache_->store(kResultPrefix + key, row.dump());
+        diskCache_->store(kResultPrefix + key, *row);
     std::lock_guard<std::mutex> lock(indexMutex_);
-    resultIndex_[key] = std::move(row);
+    resultIndex_[key] = row;
 }
 
 harness::Json
@@ -624,7 +649,8 @@ Server::handleResults(const harness::Json &request, LineChannel &channel)
     // index hits flow immediately, live jobs as they finish. Submission
     // order (not completion order) keeps the stream deterministic.
     for (size_t i = 0; i < sweep->jobs.size(); ++i) {
-        harness::Json row;
+        std::shared_ptr<const std::string> row;
+        bool cached = false;
         {
             std::unique_lock<std::mutex> lock(sweepMutex_);
             sweepCv_.wait(lock, [&] {
@@ -633,12 +659,10 @@ Server::handleResults(const harness::Json &request, LineChannel &channel)
             });
             if (!sweep->jobs[i].done)
                 return channel.writeJson(errorReply("daemon stopping"));
-            row = okReply();
-            row.set("job", uint64_t(i));
-            row.set("cached", sweep->jobs[i].fromCache);
-            row.set("result", encodeJobResult(sweep->jobs[i].result));
+            row = sweep->jobs[i].row;
+            cached = sweep->jobs[i].fromCache;
         }
-        if (!channel.writeJson(row))
+        if (!channel.writeLine(resultRowLine(i, cached, *row)))
             return false;  // peer went away; jobs keep running
     }
     harness::Json done = okReply();
@@ -824,18 +848,11 @@ Server::releaseSocketLock()
 }
 
 void
-Server::journalSweepBegin(const Sweep &sweep,
-                          const harness::Json &encodedJobs)
+Server::journalSweepBegin(const std::string &payload)
 {
     std::lock_guard<std::mutex> lock(journalMutex_);
-    if (!journal_.isOpen())
-        return;
-    harness::Json payload = harness::Json::object();
-    payload.set("id", sweep.id);
-    payload.set("label", sweep.label);
-    payload.set("priority", int64_t(sweep.priority));
-    payload.set("jobs", encodedJobs);
-    journal_.append(Journal::kSweepBegin, payload);
+    if (journal_.isOpen())
+        journal_.appendDumped(Journal::kSweepBegin, payload);
 }
 
 void
@@ -846,14 +863,10 @@ Server::journalJobDone(const Sweep &sweep, size_t index)
     // the result here is safe (this thread wrote it).
     const SweepJob &entry = sweep.jobs[index];
     std::lock_guard<std::mutex> lock(journalMutex_);
-    if (!journal_.isOpen())
-        return;
-    harness::Json payload = harness::Json::object();
-    payload.set("id", sweep.id);
-    payload.set("index", uint64_t(index));
-    payload.set("cached", entry.fromCache);
-    payload.set("result", encodeJobResult(entry.result));
-    journal_.append(Journal::kJobDone, payload);
+    if (journal_.isOpen())
+        journal_.appendDumped(
+            Journal::kJobDone,
+            jobDonePayload(sweep.id, index, entry.fromCache, *entry.row));
 }
 
 void
@@ -879,31 +892,14 @@ Server::snapshotJournalRecords()
     for (const auto &[id, sweep] : sweeps_) {
         if (sweep->cancelled || sweep->completed >= sweep->jobs.size())
             continue;
-        JournalRecord begin;
-        begin.type = Journal::kSweepBegin;
-        harness::Json payload = harness::Json::object();
-        payload.set("id", sweep->id);
-        payload.set("label", sweep->label);
-        payload.set("priority", int64_t(sweep->priority));
-        harness::Json encoded = harness::Json::array();
-        for (const SweepJob &entry : sweep->jobs)
-            encoded.push(encodeJob(entry.job));
-        payload.set("jobs", std::move(encoded));
-        begin.payload = std::move(payload);
-        records.push_back(std::move(begin));
+        records.push_back({Journal::kSweepBegin, sweep->beginPayload});
         for (size_t i = 0; i < sweep->jobs.size(); ++i) {
             const SweepJob &entry = sweep->jobs[i];
-            if (!entry.done)
-                continue;
-            JournalRecord done;
-            done.type = Journal::kJobDone;
-            harness::Json row = harness::Json::object();
-            row.set("id", sweep->id);
-            row.set("index", uint64_t(i));
-            row.set("cached", entry.fromCache);
-            row.set("result", encodeJobResult(entry.result));
-            done.payload = std::move(row);
-            records.push_back(std::move(done));
+            if (entry.done)
+                records.push_back(
+                    {Journal::kJobDone,
+                     jobDonePayload(sweep->id, i, entry.fromCache,
+                                    *entry.row)});
         }
     }
     return records;
@@ -956,16 +952,12 @@ Server::recoverFromJournal(std::string &error)
                 if (const harness::Json *p = payload.find("priority");
                     p && p->kind() == harness::Json::Kind::Int)
                     sweep->priority = static_cast<int>(p->asInt());
-                sweep->jobs.reserve(jobs->size());
-                for (size_t i = 0; i < jobs->size(); ++i) {
-                    SweepJob entry;
-                    if (!decodeJob(jobs->at(i), entry.job))
-                        return;  // foreign/stale record: skip sweep
-                    entry.key = jobContentKey(entry.job);
-                    entry.cancel =
-                        std::make_shared<std::atomic<bool>>(false);
-                    sweep->jobs.push_back(std::move(entry));
-                }
+                std::vector<std::string> dumps;
+                size_t bad = 0;
+                if (!decodeSweepJobs(*jobs, *sweep, dumps, bad))
+                    return;  // foreign/stale record: skip sweep
+                sweep->beginPayload = sweepBeginPayload(
+                    id, sweep->label, sweep->priority, dumps);
                 // Last Begin of an id wins (a duplicate from a racing
                 // attach, or a fresh instance after a cancel).
                 live[id] = std::move(sweep);
@@ -982,8 +974,11 @@ Server::recoverFromJournal(std::string &error)
                 if (i >= sweep.jobs.size() || sweep.jobs[i].done)
                     return;
                 SweepJob &entry = sweep.jobs[i];
-                if (!decodeJobResult(*result, entry.result))
+                harness::JobResult row;
+                if (!decodeJobResult(*result, row))
                     return;  // undecodable row: the job just re-runs
+                entry.row = std::make_shared<const std::string>(
+                    encodeJobResult(row).dump());
                 entry.done = true;
                 if (const harness::Json *c = payload.find("cached");
                     c && c->kind() == harness::Json::Kind::Bool &&
@@ -992,7 +987,7 @@ Server::recoverFromJournal(std::string &error)
                     ++sweep.cached;
                 }
                 ++sweep.completed;
-                if (!entry.result.ok)
+                if (!row.ok)
                     ++sweep.failed;
             } else if (type == Journal::kSweepCancel) {
                 live.erase(id);
@@ -1013,15 +1008,16 @@ Server::recoverFromJournal(std::string &error)
         for (SweepJob &entry : sweep->jobs) {
             if (entry.done)
                 continue;
-            harness::JobResult row;
-            if (lookupResult(entry.key, row)) {
-                entry.result = std::move(row);
+            entry.row = lookupResult(entry.key);
+            if (entry.row) {
                 entry.done = true;
                 entry.fromCache = true;
                 ++sweep->cached;
                 ++sweep->completed;
             }
         }
+        if (sweep->completed == sweep->jobs.size())
+            std::string().swap(sweep->beginPayload);
         std::vector<QueuedJob> pending;
         for (size_t i = 0; i < sweep->jobs.size(); ++i) {
             if (!sweep->jobs[i].done)

@@ -20,16 +20,21 @@
  *    jobs, sweeps, clients, and daemon restarts — and, in fleet mode,
  *    the same disk directory is shared by every worker process,
  *  - the incremental result index: finished ok rows keyed by
- *    wire::jobContentKey, held in memory and persisted through the
- *    same disk store under a "result|" prefix. A resubmitted sweep
- *    re-runs only jobs whose content key has no indexed row; everything
- *    else streams back immediately.
+ *    wire::jobContentKey, held in memory as their encoded bytes and
+ *    persisted through the same disk store under a "result|" prefix.
+ *    A resubmitted sweep re-runs only jobs whose content key has no
+ *    indexed row; everything else streams back immediately.
  *
  * Failure containment: a job that panics or hangs becomes a structured
  * failure row (ok=false) in its sweep — the worker pool, the other
  * sweeps, and every connection keep going. Failed rows are never
  * indexed, so a poisoned job re-runs on resubmit instead of caching its
  * failure.
+ *
+ * Encode once (DESIGN.md section 14): each submitted job is encoded
+ * and dumped once, and its content key, the sweep id and the
+ * SweepBegin record all derive from those bytes; each row is encoded
+ * once and spliced into the stream, the journal and the index.
  *
  * Determinism: results stream strictly in submission order and carry
  * the exact values executeJob produced, so a client rendering a
@@ -173,7 +178,10 @@ class Server
         std::shared_ptr<std::atomic<bool>> cancel;
         bool done = false;
         bool fromCache = false;  ///< answered by the result index
-        harness::JobResult result;
+        /** The row as encodeJobResult(row).dump(), encoded once when
+         *  the row is produced or revived and shared with the result
+         *  index; streamed and journaled as these bytes. */
+        std::shared_ptr<const std::string> row;
     };
 
     /** One submitted sweep. Guarded by Server::sweepMutex_. */
@@ -188,6 +196,9 @@ class Server
         size_t cached = 0;
         size_t failed = 0;
         bool cancelled = false;
+        /** The SweepBegin payload, for compaction snapshots; released
+         *  once every job is done (snapshots skip finished sweeps). */
+        std::string beginPayload;
     };
 
     /** One queued unit of work: sweep job @p index of @p sweep. */
@@ -213,6 +224,16 @@ class Server
                        LineChannel &channel);
     /// @}
 
+    /**
+     * Decode the wire @p jobs into @p sweep's entries, encoding and
+     * dumping each decoded job once into @p dumps: the content keys
+     * here, and the sweep id and SweepBegin payload at the caller,
+     * come from those bytes. False with @p bad set on a malformed job.
+     */
+    static bool decodeSweepJobs(const harness::Json &jobs, Sweep &sweep,
+                                std::vector<std::string> &dumps,
+                                size_t &bad);
+
     /** Run sweep job @p index on slot @p slot and publish its row. */
     void runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
                      unsigned slot);
@@ -227,8 +248,7 @@ class Server
      *  Runs single-threaded, between journal open and thread start. */
     bool recoverFromJournal(std::string &error);
     /** Append a record (no-ops when the journal is off/broken). */
-    void journalSweepBegin(const Sweep &sweep,
-                           const harness::Json &encodedJobs);
+    void journalSweepBegin(const std::string &payload);
     void journalJobDone(const Sweep &sweep, size_t index);
     void journalSweepCancel(const std::string &id);
     /** Rewrite the journal to the live-sweep snapshot when it crossed
@@ -241,12 +261,13 @@ class Server
 
     /**
      * Result-index lookup for @p key: memory first, then the disk
-     * store ("result|" prefix). False when no valid row is indexed.
+     * store ("result|" prefix). The row's encoded bytes, or null when
+     * no valid ok row is indexed.
      */
-    bool lookupResult(const std::string &key, harness::JobResult &out);
-    /** Index an ok row under @p key (memory + disk). */
+    std::shared_ptr<const std::string> lookupResult(const std::string &key);
+    /** Index an ok row's encoded bytes under @p key (memory + disk). */
     void indexResult(const std::string &key,
-                     const harness::JobResult &result);
+                     const std::shared_ptr<const std::string> &row);
 
     ServerConfig config_;
     std::unique_ptr<DiskArtifactCache> diskCache_;
@@ -300,7 +321,8 @@ class Server
     /// @}
 
     std::mutex indexMutex_;
-    std::unordered_map<std::string, harness::Json> resultIndex_;
+    std::unordered_map<std::string, std::shared_ptr<const std::string>>
+        resultIndex_;
 
     /** Shutdown-op latch for waitForShutdown(). */
     std::mutex shutdownMutex_;

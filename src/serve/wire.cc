@@ -7,6 +7,7 @@
 
 #include "harness/artifact_cache.h"
 #include "profile/profile.h"
+#include "support/logging.h"
 
 namespace rtd::serve {
 
@@ -16,13 +17,15 @@ using harness::Json;
 
 /// @name Checked member extraction (false = missing or wrong type)
 /// @{
+/** An unsigned integer in full uint64 range; negatives are rejected,
+ *  not wrapped. */
 bool
 getU64(const Json &json, const char *key, uint64_t &out)
 {
     const Json *member = json.find(key);
-    if (!member || member->kind() != Json::Kind::Int)
+    if (!member || !member->isUInt64())
         return false;
-    out = static_cast<uint64_t>(member->asInt());
+    out = member->asUInt64();
     return true;
 }
 
@@ -551,27 +554,23 @@ decodeSystemResult(const harness::Json &json, core::SystemResult &result)
         return false;
     result.profile.execInsns.clear();
     for (const Json &count : exec->items()) {
-        if (count.kind() != Json::Kind::Int)
+        if (!count.isUInt64())
             return false;
-        result.profile.execInsns.push_back(
-            static_cast<uint64_t>(count.asInt()));
+        result.profile.execInsns.push_back(count.asUInt64());
     }
     result.profile.missCounts.clear();
     for (const Json &count : misses->items()) {
-        if (count.kind() != Json::Kind::Int)
+        if (!count.isUInt64())
             return false;
-        result.profile.missCounts.push_back(
-            static_cast<uint64_t>(count.asInt()));
+        result.profile.missCounts.push_back(count.asUInt64());
     }
     result.profile.transitions.clear();
     for (const Json &pair : trans->items()) {
         if (pair.kind() != Json::Kind::Array || pair.size() != 2 ||
-            pair.at(0).kind() != Json::Kind::Int ||
-            pair.at(1).kind() != Json::Kind::Int)
+            !pair.at(0).isUInt64() || !pair.at(1).isUInt64())
             return false;
-        result.profile.transitions[static_cast<uint64_t>(
-            pair.at(0).asInt())] =
-            static_cast<uint64_t>(pair.at(1).asInt());
+        result.profile.transitions[pair.at(0).asUInt64()] =
+            pair.at(1).asUInt64();
     }
     const Json *reports = json.find("faultReports");
     if (!reports || reports->kind() != Json::Kind::Array)
@@ -637,22 +636,56 @@ decodeJobResult(const harness::Json &json, harness::JobResult &result)
 std::string
 jobContentKey(const harness::Job &job)
 {
-    Json key = Json::object();
-    key.set("workload", encodeWorkload(job.workload));
-    key.set("config", encodeConfig(job.config));
-    return key.dump();
+    return jobContentKeyFromDump(encodeJob(job).dump());
+}
+
+std::string
+jobContentKeyFromDump(std::string_view jobDump)
+{
+    // encodeJob's members run tag, workload, config, timeout, ... and
+    // every '"' inside a dumped string is escaped, so `,"` only ever
+    // opens a member key: the first `,"workload":` follows the tag and
+    // the last `,"timeout":` follows the config, at any nesting the
+    // config may grow.
+    size_t begin = jobDump.find(",\"workload\":");
+    size_t end = jobDump.rfind(",\"timeout\":");
+    RTDC_ASSERT(begin != std::string_view::npos &&
+                    end != std::string_view::npos && begin < end,
+                "not a dumped encodeJob value");
+    std::string key;
+    key.reserve(end - begin + 1);
+    key += '{';
+    key.append(jobDump, begin + 1, end - begin - 1);
+    key += '}';
+    return key;
 }
 
 std::string
 sweepContentId(const std::string &label,
                const harness::Json &encodedJobs)
 {
+    std::vector<std::string> dumps;
+    dumps.reserve(encodedJobs.size());
+    for (const Json &job : encodedJobs.items())
+        dumps.push_back(job.dump());
+    return sweepContentId(label, dumps);
+}
+
+std::string
+sweepContentId(const std::string &label,
+               const std::vector<std::string> &jobDumps)
+{
     // One canonical byte string: label, then each job's compact dump,
     // '\n'-separated (the dumps contain no raw newlines).
-    std::string canon = label;
-    for (size_t i = 0; i < encodedJobs.size(); ++i) {
+    size_t bytes = label.size();
+    for (const std::string &dump : jobDumps)
+        bytes += 1 + dump.size();
+    std::string canon;
+    canon.reserve(bytes);
+    canon = label;
+    for (const std::string &dump : jobDumps) {
         canon.push_back('\n');
-        canon += encodedJobs.at(i).dump();
+        canon += dump;
     }
     uint64_t hash = harness::stableHash64(canon);
     char hex[17];

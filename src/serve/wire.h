@@ -30,6 +30,8 @@
 #define RTDC_SERVE_WIRE_H
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "harness/job.h"
 #include "harness/json.h"
@@ -80,6 +82,14 @@ bool decodeJobResult(const harness::Json &json,
 std::string jobContentKey(const harness::Job &job);
 
 /**
+ * jobContentKey from a job's canonical bytes, encodeJob(job).dump():
+ * the workload and config members sliced out and re-wrapped as an
+ * object, which is how jobContentKey itself is computed. A daemon that
+ * already dumped a job derives its key without encoding it again.
+ */
+std::string jobContentKeyFromDump(std::string_view jobDump);
+
+/**
  * Content-derived sweep id: 16 hex digits of a stable hash over the
  * label and the canonical (encodeJob) encoding of every job, in
  * submission order. Submitting the same label + job list always yields
@@ -91,6 +101,11 @@ std::string jobContentKey(const harness::Job &job);
  */
 std::string sweepContentId(const std::string &label,
                            const harness::Json &encodedJobs);
+
+/** sweepContentId over each job's compact dump, encodeJob(job).dump(),
+ *  in submission order: the same id without re-dumping the jobs. */
+std::string sweepContentId(const std::string &label,
+                           const std::vector<std::string> &jobDumps);
 
 } // namespace rtd::serve
 

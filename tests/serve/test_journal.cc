@@ -222,9 +222,9 @@ TEST(JournalTest, CompactRewritesToExactlyTheGivenRecords)
 
     std::vector<JournalRecord> snapshot(2);
     snapshot[0].type = Journal::kSweepBegin;
-    snapshot[0].payload = payload("live", 0);
+    snapshot[0].payload = payload("live", 0).dump();
     snapshot[1].type = Journal::kJobDone;
-    snapshot[1].payload = payload("live", 1);
+    snapshot[1].payload = payload("live", 1).dump();
     ASSERT_TRUE(journal.compact(snapshot));
     EXPECT_LT(fileSize(path), grown);
     EXPECT_EQ(journal.stats().compactions, 1u);
@@ -307,7 +307,7 @@ TEST(JournalTest, FailedCompactionLeavesOldJournalIntact)
 
     std::vector<JournalRecord> snapshot(1);
     snapshot[0].type = Journal::kSweepBegin;
-    snapshot[0].payload = payload("live", 0);
+    snapshot[0].payload = payload("live", 0).dump();
     serve::fsio::setFaultPlan(1, 0, serve::fsio::FaultMode::Enospc);
     EXPECT_FALSE(journal.compact(snapshot));
     serve::fsio::clearFaultPlan();

@@ -7,8 +7,8 @@
  * byte-identical to local execution; content-derived sweep ids make
  * the client's resubmit attach to the recovered sweep. Also here: the
  * socket lock that keeps a second daemon off a live socket, the
- * request-line length bound, and the EINTR-resilience of the stream
- * under a signal storm.
+ * request-line length bound, the EINTR-resilience of the stream under
+ * a signal storm, and journal compaction under warm-only traffic.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -420,6 +421,75 @@ TEST(RecoverySocketLock, SecondDaemonRefusesWhileFirstIsLive)
     serve::Server third(config);
     ASSERT_TRUE(third.start(error)) << error;
     third.stop();
+}
+
+TEST(WarmJournal, AllCachedResubmitsKeepTheJournalBounded)
+{
+    // Every submit appends a SweepBegin, even one the result index
+    // answers whole. A daemon serving only such resubmits never runs a
+    // job, so the submit path itself must compact.
+    std::string dir = tempDir();
+    std::vector<Job> jobs = tinyJobs(4000, 6);
+    std::vector<JobResult> local = localReference(jobs);
+    serve::ServerConfig config;
+    config.socketPath = dir + "/d.sock";
+    config.cacheDir = dir + "/cache";
+    config.workers = 2;
+    config.journalCompactBytes = 32 << 10;
+    auto journalBytes = [&] {
+        Json stats = serverStats(config.socketPath);
+        const Json *journal = stats.find("journal");
+        return journal ? statNum(*journal, "bytes") : -1;
+    };
+    const int kResubmits = 40;
+    {
+        serve::Server server(config);
+        std::string error;
+        ASSERT_TRUE(server.start(error)) << error;
+        expectSameRows(submitAndFetch(config.socketPath, "warm", jobs),
+                       local);
+        int64_t begin_bytes = -1;
+        for (int i = 0; i < kResubmits; ++i) {
+            int64_t before = journalBytes();
+            uint64_t cached = 0;
+            expectSameRows(submitAndFetch(config.socketPath, "warm", jobs,
+                                          nullptr, &cached),
+                           local);
+            EXPECT_EQ(cached, jobs.size());
+            int64_t after = journalBytes();
+            if (after > before)
+                begin_bytes = after - before;
+            ASSERT_LT(after, int64_t(config.journalCompactBytes)) << i;
+        }
+        // Unbounded, the journal would hold kResubmits Begin records.
+        ASSERT_GT(begin_bytes, 0);
+        EXPECT_GT(begin_bytes * kResubmits,
+                  2 * int64_t(config.journalCompactBytes));
+        Json stats = serverStats(config.socketPath);
+        const Json *journal = stats.find("journal");
+        ASSERT_NE(journal, nullptr);
+        EXPECT_GE(statNum(*journal, "compactions"), 2);
+
+        // A kill -9 now leaves this journal and store behind: copy
+        // them while the daemon is idle and recover from the copy.
+        std::filesystem::copy(config.cacheDir, dir + "/crashed",
+                              std::filesystem::copy_options::recursive);
+        server.stop();
+    }
+    serve::ServerConfig crashed = config;
+    crashed.socketPath = dir + "/crashed.sock";
+    crashed.cacheDir = dir + "/crashed";
+    serve::Server server(crashed);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    Json stats = serverStats(crashed.socketPath);
+    EXPECT_EQ(statNum(stats, "requeued_jobs"), 0);
+    uint64_t cached = 0;
+    expectSameRows(submitAndFetch(crashed.socketPath, "warm", jobs,
+                                  nullptr, &cached),
+                   local);
+    EXPECT_EQ(cached, jobs.size());
+    server.stop();
 }
 
 TEST(RecoveryLineLimit, OverlongRequestLineGetsStructuredErrorAndClose)

@@ -5,16 +5,21 @@
  * persistence), the wire codecs' exact round-trip, and the daemon
  * itself — submit/results/status/cancel/stats over a real unix socket,
  * incremental resubmits, warm restarts from disk, and failure-row
- * containment for poisoned jobs.
+ * containment for poisoned jobs. The EncodeOnce suite pins the bytes
+ * the daemon derives from each job's and row's single encoding to the
+ * harness::Json-built ones (and to the values an earlier build wrote),
+ * and the LineChannel suite the framing of multi-MiB lines.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,9 +27,12 @@
 #include "core/experiment.h"
 #include "harness/artifact_cache.h"
 #include "harness/job.h"
+#include "harness/matrix.h"
 #include "harness/runner.h"
 #include "serve/client.h"
 #include "serve/disk_cache.h"
+#include "serve/journal.h"
+#include "serve/proto.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "workload/benchmarks.h"
@@ -291,6 +299,281 @@ TEST(Wire, JobResultRoundTripsThroughExecution)
               result.result.stats.userInsns);
     EXPECT_EQ(decoded.result.compressedPayloadBytes,
               result.result.compressedPayloadBytes);
+}
+
+TEST(Wire, SeedsAcrossTheFullUInt64RangeRoundTrip)
+{
+    for (uint64_t seed : {uint64_t{1} << 63, (uint64_t{1} << 63) + 12345,
+                          std::numeric_limits<uint64_t>::max()}) {
+        Job job = tinyJob(1);
+        job.workload.seed = seed;
+        job.config.fault.plans.push_back({seed, fault::Site::Stream, 1});
+        Json parsed;
+        ASSERT_TRUE(Json::parse(serve::encodeJob(job).dump(), &parsed));
+        Job decoded;
+        ASSERT_TRUE(serve::decodeJob(parsed, decoded)) << seed;
+        EXPECT_EQ(decoded.workload.seed, seed);
+        ASSERT_EQ(decoded.config.fault.plans.size(), 1u);
+        EXPECT_EQ(decoded.config.fault.plans[0].seed, seed);
+        EXPECT_EQ(serve::jobContentKey(decoded), serve::jobContentKey(job));
+        EXPECT_NE(serve::encodeWorkload(job.workload)
+                      .dump()
+                      .find("\"seed\":" + std::to_string(seed) + ","),
+                  std::string::npos);
+    }
+    // Below 2^63 the bytes are the int64 ones they always were.
+    workload::WorkloadSpec spec = workload::tinySpec(5);
+    spec.seed = 9223372036854775807ull;
+    EXPECT_NE(serve::encodeWorkload(spec).dump().find(
+                  "\"seed\":9223372036854775807,"),
+              std::string::npos);
+}
+
+TEST(Wire, NegativeIntegersAreRejectedNotWrapped)
+{
+    Json workload = serve::encodeWorkload(workload::tinySpec(5));
+    workload.set("seed", int64_t{-1});
+    workload::WorkloadSpec spec;
+    EXPECT_FALSE(serve::decodeWorkload(workload, spec));
+    workload.set("seed", 2.5);
+    EXPECT_FALSE(serve::decodeWorkload(workload, spec));
+    workload.set("seed", uint64_t{7});
+    ASSERT_TRUE(serve::decodeWorkload(workload, spec));
+    EXPECT_EQ(spec.seed, 7u);
+}
+
+// ---------------------------------------------------------------------
+// Encode once: bytes derived from a job's or row's single encoding
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The content key built as one harness::Json: the reference the key
+ *  sliced from a job dump must equal. */
+std::string
+jsonBuiltKey(const Job &job)
+{
+    Json key = Json::object();
+    key.set("workload", serve::encodeWorkload(job.workload));
+    key.set("config", serve::encodeConfig(job.config));
+    return key.dump();
+}
+
+std::string
+hex64(uint64_t value)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(value));
+    return buf;
+}
+
+} // namespace
+
+TEST(EncodeOnce, MatrixKeysIdsAndSweepBeginMatchTheJsonBuiltBytes)
+{
+    std::vector<Job> jobs =
+        harness::buildMatrixJobs(harness::MatrixAxes::defaults());
+    ASSERT_EQ(jobs.size(), 576u);
+    std::vector<std::string> dumps;
+    Json encoded = Json::array();
+    std::string keys;
+    for (const Job &job : jobs) {
+        dumps.push_back(serve::encodeJob(job).dump());
+        encoded.push(serve::encodeJob(job));
+        std::string key = serve::jobContentKeyFromDump(dumps.back());
+        ASSERT_EQ(key, jsonBuiltKey(job)) << job.tag;
+        ASSERT_EQ(key, serve::jobContentKey(job)) << job.tag;
+        keys += key + "\n";
+    }
+    // The sweep id: the canonical string hashed the way it always was.
+    std::string canon = "matrix";
+    for (size_t i = 0; i < encoded.size(); ++i)
+        canon += "\n" + encoded.at(i).dump();
+    const std::string id = serve::sweepContentId("matrix", dumps);
+    EXPECT_EQ(id, hex64(harness::stableHash64(canon)));
+    EXPECT_EQ(id, serve::sweepContentId("matrix", encoded));
+
+    Json begin = Json::object();
+    begin.set("id", id);
+    begin.set("label", "matrix");
+    begin.set("priority", int64_t(0));
+    begin.set("jobs", encoded);
+    const std::string payload =
+        serve::sweepBeginPayload(id, "matrix", 0, dumps);
+    EXPECT_EQ(payload, begin.dump());
+
+    // The values a build before the single-encoding daemon computed
+    // for this matrix: its disk result index and its journals still
+    // hit.
+    EXPECT_EQ(hex64(harness::stableHash64(keys)), "e16c4f8f49a487e1");
+    EXPECT_EQ(id, "f654153d88f23f24");
+    EXPECT_EQ(hex64(harness::stableHash64(payload)), "c5df78c39cc53354");
+    EXPECT_EQ(payload.size(), 666328u);
+}
+
+TEST(EncodeOnce, KeySlicingSurvivesHostileTagsAndLabels)
+{
+    Job job = tinyJob(3, compress::Scheme::Dictionary);
+    for (const char *tag :
+         {"", ",\"workload\":{}", "a\\\",\"timeout\":1,\"x\":\"",
+          "\\", "\"", "tab\tnew\nline", ",\"config\":,\"timeout\":"}) {
+        job.tag = tag;
+        std::string dump = serve::encodeJob(job).dump();
+        EXPECT_EQ(serve::jobContentKeyFromDump(dump), jsonBuiltKey(job))
+            << tag;
+        Json encoded = Json::array();
+        encoded.push(serve::encodeJob(job));
+        Json begin = Json::object();
+        begin.set("id", "0123456789abcdef");
+        begin.set("label", tag);
+        begin.set("priority", int64_t(-3));
+        begin.set("jobs", encoded);
+        EXPECT_EQ(serve::sweepBeginPayload("0123456789abcdef", tag, -3,
+                                           {dump}),
+                  begin.dump());
+    }
+    Json empty = Json::object();
+    empty.set("id", "id");
+    empty.set("label", "l");
+    empty.set("priority", int64_t(0));
+    empty.set("jobs", Json::array());
+    EXPECT_EQ(serve::sweepBeginPayload("id", "l", 0, {}), empty.dump());
+}
+
+TEST(EncodeOnce, RowRecordsAndStreamLinesMatchTheJsonBuiltBytes)
+{
+    harness::ArtifactCache cache;
+    JobResult result = harness::executeJob(tinyJob(3), cache, nullptr);
+    ASSERT_TRUE(result.ok);
+    result.result.faultReports.push_back(
+        {{uint64_t{1} << 63, fault::Site::Stream, 2},
+         {{"text", 12, 0x10, 0}}});
+    const std::string row = serve::encodeJobResult(result).dump();
+    for (bool cached : {false, true}) {
+        Json done = Json::object();
+        done.set("id", "f654153d88f23f24");
+        done.set("index", uint64_t(575));
+        done.set("cached", cached);
+        done.set("result", serve::encodeJobResult(result));
+        EXPECT_EQ(serve::jobDonePayload("f654153d88f23f24", 575, cached,
+                                        row),
+                  done.dump());
+
+        Json line = serve::okReply();
+        line.set("job", uint64_t(575));
+        line.set("cached", cached);
+        line.set("result", serve::encodeJobResult(result));
+        EXPECT_EQ(serve::resultRowLine(575, cached, row), line.dump());
+    }
+}
+
+// ---------------------------------------------------------------------
+// LineChannel framing
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A connected socketpair: [0] for a LineChannel, [1] for raw writes. */
+struct SocketPair
+{
+    int fds[2] = {-1, -1};
+    SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0); }
+    ~SocketPair()
+    {
+        if (fds[1] >= 0)
+            ::close(fds[1]);
+    }
+    SocketPair(const SocketPair &) = delete;
+    SocketPair &operator=(const SocketPair &) = delete;
+
+    /** Write @p bytes in @p chunk-sized pieces, then close the writer
+     *  end; on its own thread, so the reader drains concurrently. */
+    std::thread writeInChunks(std::string bytes, size_t chunk)
+    {
+        int fd = fds[1];
+        fds[1] = -1;
+        return std::thread([fd, bytes = std::move(bytes), chunk] {
+            for (size_t sent = 0; sent < bytes.size();) {
+                ssize_t n = ::write(fd, bytes.data() + sent,
+                                    std::min(chunk, bytes.size() - sent));
+                if (n <= 0)
+                    break;
+                sent += static_cast<size_t>(n);
+            }
+            ::close(fd);
+        });
+    }
+};
+
+} // namespace
+
+TEST(LineChannel, MultiMiBLineInSmallWritesReadsIntact)
+{
+    // A 3 MiB line in 1000-byte writes, a CRLF line, and a short one.
+    std::string big(3u << 20, '\0');
+    for (size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<char>('a' + i % 26);
+    SocketPair pair;
+    serve::LineChannel channel(pair.fds[0]);
+    std::thread writer =
+        pair.writeInChunks(big + "\n{\"x\":1}\r\nlast\n", 1000);
+    std::string line;
+    ASSERT_TRUE(channel.readLine(line));
+    EXPECT_EQ(line.size(), big.size());
+    EXPECT_TRUE(line == big);
+    ASSERT_TRUE(channel.readLine(line));
+    EXPECT_EQ(line, "{\"x\":1}");
+    ASSERT_TRUE(channel.readLine(line));
+    EXPECT_EQ(line, "last");
+    EXPECT_FALSE(channel.readLine(line));  // EOF
+    EXPECT_FALSE(channel.lineTooLong());
+    writer.join();
+}
+
+TEST(LineChannel, LineTooLongTripsExactlyPastTheBound)
+{
+    const size_t bound = 100000;
+    {
+        // Exactly at the bound, twice in a row: both read.
+        SocketPair pair;
+        serve::LineChannel channel(pair.fds[0], bound);
+        std::string at(bound, 'y');
+        std::thread writer = pair.writeInChunks(at + "\n" + at + "\n", 777);
+        std::string line;
+        ASSERT_TRUE(channel.readLine(line));
+        EXPECT_EQ(line.size(), bound);
+        ASSERT_TRUE(channel.readLine(line));
+        EXPECT_EQ(line.size(), bound);
+        EXPECT_FALSE(channel.lineTooLong());
+        writer.join();
+    }
+    {
+        // One byte past it, terminated: trips.
+        SocketPair pair;
+        serve::LineChannel channel(pair.fds[0], bound);
+        std::thread writer = pair.writeInChunks(
+            "ok\n" + std::string(bound + 1, 'z') + "\n", 4096);
+        std::string line;
+        ASSERT_TRUE(channel.readLine(line));
+        EXPECT_EQ(line, "ok");
+        EXPECT_FALSE(channel.readLine(line));
+        EXPECT_TRUE(channel.lineTooLong());
+        writer.join();
+    }
+    {
+        // Past it and never terminated: trips without waiting for EOF
+        // (the writer keeps its end open until the reader gives up).
+        SocketPair pair;
+        serve::LineChannel channel(pair.fds[0], bound);
+        std::string unterminated(bound + 1, 'w');
+        ASSERT_EQ(::write(pair.fds[1], unterminated.data(),
+                          unterminated.size()),
+                  static_cast<ssize_t>(unterminated.size()));
+        std::string line;
+        EXPECT_FALSE(channel.readLine(line));
+        EXPECT_TRUE(channel.lineTooLong());
+    }
 }
 
 // ---------------------------------------------------------------------
