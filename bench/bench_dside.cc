@@ -16,7 +16,7 @@
  * and emits one BENCH_dside.json row per non-native run: slowdown vs
  * native, code/data compression ratios, and the D-miss service
  * counters. `--smoke` additionally asserts RunStats parity across the
- * four canonical engines with data compression enabled and validates
+ * three engines with data compression enabled and validates
  * the written JSON schema (the dside_smoke ctest).
  */
 
@@ -41,14 +41,13 @@ namespace {
 struct EngineFlags
 {
     const char *name;
-    bool predecode, blockExec, superblockExec;
+    bool predecode, blockExec;
 };
 
 constexpr EngineFlags kEngines[] = {
-    {"legacy", false, false, false},
-    {"predecode", true, false, false},
-    {"blocks", true, true, false},
-    {"superblock", true, true, true},
+    {"legacy", false, false},
+    {"predecode", true, false},
+    {"blocks", true, true},
 };
 
 core::SystemResult
@@ -60,7 +59,7 @@ runScenario(const std::shared_ptr<const core::BuiltImage> &built,
 }
 
 /**
- * All four engines on one BuiltImage must produce identical RunStats;
+ * All three engines on one BuiltImage must produce identical RunStats;
  * fatal (names the first diverging field) otherwise. Mirrors
  * bench_simperf --parity for the data path.
  */
@@ -73,7 +72,6 @@ assertEngineParity(const std::shared_ptr<const core::BuiltImage> &built,
         core::SystemConfig config = base;
         config.cpu.predecode = kEngines[e].predecode;
         config.cpu.blockExec = kEngines[e].blockExec;
-        config.cpu.superblockExec = kEngines[e].superblockExec;
         cpu::RunStats stats = runScenario(built, config).stats;
         if (e == 0) {
             first = stats;
@@ -112,7 +110,7 @@ assertEngineParity(const std::shared_ptr<const core::BuiltImage> &built,
                   kEngines[e].name);
         }
     }
-    std::printf("parity ok: %-18s (RunStats identical across 4 "
+    std::printf("parity ok: %-18s (RunStats identical across 3 "
                 "engines)\n",
                 label);
 }

@@ -2,35 +2,34 @@
  * @file
  * Host simulation-speed bench: wall-clock MIPS (millions of simulated
  * instructions per second of host time) for native, dictionary and
- * CodePack runs of the cc1 stand-in, across the four execution
+ * CodePack runs of the cc1 stand-in, across the three execution
  * engines: the legacy decode-per-fetch interpreter, the predecoded
- * engine (CpuConfig::predecode), the block-structured engine on top of
- * it (CpuConfig::blockExec), and the superblock/trace engine with
- * threaded dispatch on top of that (CpuConfig::superblockExec). This
- * establishes the perf trajectory the ROADMAP asks for: future PRs
- * report speedups against the recorded baseline.
+ * engine (CpuConfig::predecode), and the block-structured engine on top
+ * of it (CpuConfig::blockExec, the default). This establishes the perf
+ * trajectory the ROADMAP asks for: future PRs report speedups against
+ * the recorded baseline.
  *
  * Unlike every other bench, the emitted `BENCH_simperf.json` carries
  * wall-clock fields by design, so it has its own schema (`"sweep":
- * "simperf"`, rows with `wall_seconds`/`host_mips`) and is explicitly
- * *excluded* from the harness's byte-identical-rows determinism
- * contract. The simulated results themselves stay deterministic: each
- * scheme's four runs are asserted identical on every RunStats counter
- * before any timing is reported.
+ * "simperf"`, rows with `wall_seconds`/`host_mips`, plus the
+ * `host_cores` and `build_type` the timings were taken on) and is
+ * explicitly *excluded* from the harness's byte-identical-rows
+ * determinism contract. The simulated results themselves stay
+ * deterministic: each scheme's three runs are asserted identical on
+ * every RunStats counter before any timing is reported.
  *
  * `--smoke` (used by the `simperf_smoke` ctest) additionally re-parses
  * the written JSON and fails unless every row has the expected keys and
  * a nonzero MIPS figure — never a performance threshold.
  *
- * `--parity` (used by the `superblock_parity_smoke` ctest) runs every
- * combination of the three engine flags — all eight, not just the four
- * named engines, so half-enabled states are covered too — across all
- * five schemes plus the data-compression scenarios (data-only and
- * code+data "both"), asserts full RunStats identity, and writes
- * nothing. It
- * exits nonzero naming the first diverging field, scheme and flag
- * combination: a fast, deterministic guard on the invalidation and
- * relink paths.
+ * `--parity` (used by the `engine_parity_smoke` ctest) runs every
+ * combination of the two engine flags — all four, not just the three
+ * named engines, so the half-enabled state (blockExec without
+ * predecode) is covered too — across all five schemes plus the
+ * data-compression scenarios (data-only and code+data "both"), asserts
+ * full RunStats identity, and writes nothing. It exits nonzero naming
+ * the first diverging field, scheme and flag combination: a fast,
+ * deterministic guard on the block-invalidation paths.
  *
  * `--observe` times the default engine with SystemConfig::observe off
  * and on over the same BuiltImage, asserts the simulated RunStats are
@@ -45,6 +44,7 @@
  * simulator's self-checks.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -52,6 +52,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "../bench/common.h"
 #include "compress/compressed_image.h"
@@ -66,22 +67,20 @@ namespace {
 using namespace rtd;
 using compress::Scheme;
 
-/** The four execution engines, in baseline-to-fastest order. */
+/** The three execution engines, in baseline-to-fastest order. */
 struct EngineConfig
 {
     const char *name;
     bool predecode;
     bool blockExec;
-    bool superblockExec;
 };
 
 constexpr EngineConfig kEngines[] = {
-    {"legacy", false, false, false},
-    {"predecode", true, false, false},
-    {"blocks", true, true, false},
-    {"superblock", true, true, true},
+    {"legacy", false, false},
+    {"predecode", true, false},
+    {"blocks", true, true},
 };
-constexpr int kNumEngines = 4;
+constexpr int kNumEngines = 3;
 
 struct TimedRun
 {
@@ -116,22 +115,22 @@ finishMips(TimedRun &run)
 }
 
 /**
- * Time all four engines over the same BuiltImage, keeping each side's
+ * Time all three engines over the same BuiltImage, keeping each side's
  * fastest wall time (the standard noise-robust estimator: interference
  * only ever slows a run down). Repetitions are interleaved
- * legacy/predecode/blocks/superblock so a sustained slow period on the
- * host hits every engine rather than biasing the speedups. The
- * simulated results are identical across engines and reps.
+ * legacy/predecode/blocks so a sustained slow period on the host hits
+ * every engine rather than biasing the speedups. The simulated results
+ * are identical across engines and reps.
  */
 void
-timedQuad(const std::shared_ptr<const core::BuiltImage> &built,
-          core::SystemConfig config, int reps, TimedRun out[kNumEngines])
+timedEngines(const std::shared_ptr<const core::BuiltImage> &built,
+             core::SystemConfig config, int reps,
+             TimedRun out[kNumEngines])
 {
     for (int i = 0; i < reps; ++i) {
         for (int e = 0; e < kNumEngines; ++e) {
             config.cpu.predecode = kEngines[e].predecode;
             config.cpu.blockExec = kEngines[e].blockExec;
-            config.cpu.superblockExec = kEngines[e].superblockExec;
             timeOnce(built, config, i == 0, out[e]);
         }
     }
@@ -182,8 +181,15 @@ assertParity(const cpu::RunStats &a, const cpu::RunStats &b,
         {"l2_hits", a.l2Hits, b.l2Hits},
         {"l2_misses", a.l2Misses, b.l2Misses},
         {"machine_check_halt", a.machineCheckHalt, b.machineCheckHalt},
-        {"result_value", a.resultValue, b.resultValue},
+        {"cancelled", a.cancelled, b.cancelled},
+        {"fault_kind", static_cast<uint64_t>(a.faultKind),
+         static_cast<uint64_t>(b.faultKind)},
+        {"fault_addr", a.faultAddr, b.faultAddr},
         {"halted", a.halted, b.halted},
+        {"timed_out", a.timedOut, b.timedOut},
+        {"exit_code", static_cast<uint32_t>(a.exitCode),
+         static_cast<uint32_t>(b.exitCode)},
+        {"result_value", a.resultValue, b.resultValue},
     };
     for (const Field &f : fields) {
         if (f.lhs != f.rhs) {
@@ -213,19 +219,24 @@ validateJson(const std::string &path, std::string &error)
         error = "missing sweep name";
         return false;
     }
+    for (const char *key : {"host_cores", "build_type"}) {
+        if (!doc.find(key)) {
+            error = std::string("missing ") + key;
+            return false;
+        }
+    }
     const harness::Json *rows = doc.find("rows");
     if (!rows || rows->size() == 0) {
         error = "no rows";
         return false;
     }
     bool sawBlocks = false;
-    bool sawSuperblock = false;
     for (size_t i = 0; i < rows->size(); ++i) {
         const harness::Json &row = rows->at(i);
         for (const char *key :
              {"scheme", "engine", "predecode", "block_exec",
-              "superblock_exec", "user_insns", "handler_insns",
-              "wall_seconds", "host_mips"}) {
+              "user_insns", "handler_insns", "wall_seconds",
+              "host_mips"}) {
             if (!row.find(key)) {
                 error = std::string("row missing key ") + key;
                 return false;
@@ -235,13 +246,7 @@ validateJson(const std::string &path, std::string &error)
             error = "zero host_mips";
             return false;
         }
-        if (row.get("superblock_exec").asBool()) {
-            sawSuperblock = true;
-            if (!row.find("speedup_vs_blocks")) {
-                error = "superblock row missing speedup_vs_blocks";
-                return false;
-            }
-        } else if (row.get("block_exec").asBool()) {
+        if (row.get("block_exec").asBool()) {
             sawBlocks = true;
             if (!row.find("speedup_vs_predecode")) {
                 error = "block row missing speedup_vs_predecode";
@@ -251,10 +256,6 @@ validateJson(const std::string &path, std::string &error)
     }
     if (!sawBlocks) {
         error = "no block_exec rows";
-        return false;
-    }
-    if (!sawSuperblock) {
-        error = "no superblock_exec rows";
         return false;
     }
     return true;
@@ -303,11 +304,11 @@ runObserve(double scale)
 
 /**
  * --parity: one run per engine-flag combination per scheme, full
- * RunStats identity. All eight (predecode, blockExec, superblockExec)
- * combinations run, not just the four named engines: half-enabled
- * states (e.g. superblockExec without blockExec) must fall back to the
- * slower path with identical results, or a config typo in a sweep
- * would silently change the physics.
+ * RunStats identity. All four (predecode, blockExec) combinations run,
+ * not just the three named engines: the half-enabled state (blockExec
+ * without predecode) must fall back to the slower path with identical
+ * results, or a config typo in a sweep would silently change the
+ * physics.
  */
 int
 runParity(double scale)
@@ -347,14 +348,12 @@ runParity(double scale)
                           ? ""
                           : ".dmem");
         cpu::RunStats ref;
-        for (int combo = 0; combo < 8; ++combo) {
+        for (int combo = 0; combo < 4; ++combo) {
             config.cpu.predecode = (combo & 1) != 0;
             config.cpu.blockExec = (combo & 2) != 0;
-            config.cpu.superblockExec = (combo & 4) != 0;
             char label[40];
-            std::snprintf(label, sizeof label,
-                          "predecode=%d,blocks=%d,superblock=%d",
-                          combo & 1, (combo >> 1) & 1, (combo >> 2) & 1);
+            std::snprintf(label, sizeof label, "predecode=%d,blocks=%d",
+                          combo & 1, (combo >> 1) & 1);
             core::System system(built, config);
             cpu::RunStats stats = system.run().stats;
             if (combo == 0)
@@ -363,7 +362,7 @@ runParity(double scale)
                 assertParity(stats, ref, name, label);
         }
         std::printf("parity ok: %-15s (all RunStats counters identical "
-                    "across 8 engine-flag combinations)\n",
+                    "across 4 engine-flag combinations)\n",
                     name);
     }
     return 0;
@@ -410,8 +409,7 @@ main(int argc, char **argv)
         workload::paperBenchmark("cc1"), scale);
 
     Table table({"scheme", "engine", "sim insns", "wall s", "host MIPS",
-                 "vs legacy", "vs predecode", "vs blocks"});
-    double codepack_sb_speedup = 0.0;
+                 "vs legacy", "vs predecode"});
     for (Scheme scheme :
          {Scheme::None, Scheme::Dictionary, Scheme::CodePack}) {
         core::SystemConfig config;
@@ -422,7 +420,7 @@ main(int argc, char **argv)
 
         const int reps = smoke ? 1 : 7;
         TimedRun runs[kNumEngines];
-        timedQuad(built, config, reps, runs);
+        timedEngines(built, config, reps, runs);
         for (int e = 1; e < kNumEngines; ++e) {
             assertParity(runs[e].result.stats, runs[0].result.stats,
                          compress::schemeName(scheme), kEngines[e].name);
@@ -436,11 +434,6 @@ main(int argc, char **argv)
             double vs_predecode = e >= 2 && runs[1].hostMips > 0.0
                                       ? run.hostMips / runs[1].hostMips
                                       : 0.0;
-            double vs_blocks = e == 3 && runs[2].hostMips > 0.0
-                                   ? run.hostMips / runs[2].hostMips
-                                   : 0.0;
-            if (e == 3 && scheme == Scheme::CodePack)
-                codepack_sb_speedup = vs_blocks;
             uint64_t insns = run.result.stats.userInsns +
                              run.result.stats.handlerInsns;
             table.addRow({
@@ -451,7 +444,6 @@ main(int argc, char **argv)
                 fmtDouble(run.hostMips, 1),
                 e > 0 ? fmtDouble(vs_legacy, 2) + "x" : "-",
                 e >= 2 ? fmtDouble(vs_predecode, 2) + "x" : "-",
-                e == 3 ? fmtDouble(vs_blocks, 2) + "x" : "-",
             });
 
             harness::Json row = harness::Json::object();
@@ -459,7 +451,6 @@ main(int argc, char **argv)
             row.set("engine", kEngines[e].name);
             row.set("predecode", kEngines[e].predecode);
             row.set("block_exec", kEngines[e].blockExec);
-            row.set("superblock_exec", kEngines[e].superblockExec);
             row.set("user_insns", run.result.stats.userInsns);
             row.set("handler_insns", run.result.stats.handlerInsns);
             row.set("cycles", run.result.stats.cycles);
@@ -469,8 +460,6 @@ main(int argc, char **argv)
                 row.set("speedup_vs_decode", vs_legacy);
             if (e >= 2)
                 row.set("speedup_vs_predecode", vs_predecode);
-            if (e == 3)
-                row.set("speedup_vs_blocks", vs_blocks);
             sink.addRow(std::move(row));
         }
     }
@@ -479,14 +468,22 @@ main(int argc, char **argv)
                 "second of host wall-clock;\nspeedups compare engines on "
                 "the same BuiltImage (legacy = decode per fetch,\n"
                 "predecode = decode-once caches, blocks = block-"
-                "structured dispatch on top,\nsuperblock = trace-linked "
-                "threaded dispatch on top of that).\n"
-                "CodePack superblock-vs-blocks speedup: %.2fx\n",
-                codepack_sb_speedup);
+                "structured dispatch on top).\n");
 
+    // Timings only compare within one host and build, so the document
+    // records both next to the rows.
+    harness::Json doc = sink.toJson();
+    doc.set("host_cores", static_cast<uint64_t>(std::max(
+                              1u, std::thread::hardware_concurrency())));
+    doc.set("build_type", RTDC_BUILD_TYPE);
     const std::string path = "BENCH_simperf.json";
-    if (!sink.writeJson(path))
+    std::ofstream out(path);
+    out << doc.dump(2) << "\n";
+    out.close();
+    if (!out) {
+        std::fprintf(stderr, "simperf: cannot write %s\n", path.c_str());
         return 1;
+    }
 
     if (smoke) {
         std::string error;

@@ -198,6 +198,8 @@ checkNesting(const obs::TraceBuffer &trace)
             return obs::EventKind::HandlerEnter;
           case obs::EventKind::ProcFaultEnd:
             return obs::EventKind::ProcFaultBegin;
+          case obs::EventKind::DmissEnd:
+            return obs::EventKind::DmissBegin;
           default:
             return kind; // not a closer
         }
@@ -210,12 +212,14 @@ checkNesting(const obs::TraceBuffer &trace)
           case obs::EventKind::MissBegin:
           case obs::EventKind::HandlerEnter:
           case obs::EventKind::ProcFaultBegin:
+          case obs::EventKind::DmissBegin:
             stack.push_back(event.kind);
             break;
           case obs::EventKind::JobEnd:
           case obs::EventKind::MissEnd:
           case obs::EventKind::HandlerIret:
           case obs::EventKind::ProcFaultEnd:
+          case obs::EventKind::DmissEnd:
             if (stack.empty() || stack.back() != opener(event.kind))
                 fatal("trace smoke: FAILED: unbalanced %s",
                       obs::eventKindName(event.kind));
@@ -224,8 +228,6 @@ checkNesting(const obs::TraceBuffer &trace)
             break;
           case obs::EventKind::Swic:
           case obs::EventKind::MachineCheck:
-          case obs::EventKind::SuperblockBuild:
-          case obs::EventKind::SuperblockExit:
             break; // instants
         }
     }

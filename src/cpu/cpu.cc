@@ -136,6 +136,17 @@ executeAlu(const Instruction &inst, uint32_t *regs, uint32_t &hi,
     }
 }
 
+/**
+ * In-block load-use stalls of instructions [from, to) of a block: bit i
+ * of BlockMeta::stallMask belongs to instruction i.
+ */
+inline uint32_t
+blockStalls(const isa::BlockMeta &meta, uint64_t from, uint64_t to)
+{
+    uint64_t bits = meta.stallMask & ((uint64_t{1} << to) - 1);
+    return static_cast<uint32_t>(std::popcount(bits >> from));
+}
+
 } // namespace
 
 double
@@ -358,21 +369,11 @@ Cpu::run()
     // attribution) and the procedure-cache baseline (whole-procedure
     // faults can invalidate the line being executed mid-run); the
     // handler side has neither concern — handler RAM is immutable —
-    // so it dispatches blocks whenever decoded text exists. Superblock
-    // dispatch layers on block dispatch (a trace is a chain of blocks)
-    // and inherits exactly its gating.
+    // so it dispatches blocks whenever decoded text exists.
     handlerBlocks_ = config_.blockExec && config_.predecode &&
                      config_.traceInsns == 0;
-    handlerSb_ = config_.superblockExec && handlerBlocks_;
     bool user_blocks = handlerBlocks_ && !profiling_ && !procMgr_;
-    bool user_sb = config_.superblockExec && user_blocks;
-    if (handlerSb_ && handlerRam_.loaded()) {
-        handlerSbs_.assign(handlerRam_.sizeBytes() / 4,
-                           isa::Superblock{});
-    }
-    if (user_sb) {
-        runSuperblocks();
-    } else if (user_blocks) {
+    if (user_blocks) {
         runBlocks();
     } else {
         while (true) {
@@ -906,8 +907,12 @@ Cpu::runBlocks()
         cache::FetchLine line;
         if (!icache_.accessFetchLine(pc_, line)) {
             serviceUserMiss();
-            if (stats_.machineCheckHalt || stats_.cancelled)
+            if (stats_.machineCheckHalt || stats_.cancelled) {
+                // The fetch that missed still counts, as in fetchUser();
+                // no block runs to count it.
+                ++stats_.icacheAccesses;
                 break;
+            }
             icache_.peekFetchLine(pc_, line);
         }
         uint32_t off_words = (pc_ & line_mask) / 4;
@@ -946,13 +951,14 @@ Cpu::executeBlock(const isa::BlockMeta &meta,
                   const isa::DecodedInst *insts, uint64_t k)
 {
     if (meta.startsInvalid) {
+        ++stats_.icacheAccesses;  // the faulting fetch, as in step()
         raiseMc(McKind::InvalidInst, pc_, false);
         return;
     }
     // Batched fetch accounting: the single dispatch lookup stood in for
-    // k per-instruction fetches (each a hit — see runBlocks()).
+    // k per-instruction fetches (each a hit — see runBlocks()). The
+    // I-cache's own hit counter is credited once the block is done.
     stats_.icacheAccesses += k;
-    icache_.creditFetchHits(k - 1);
     // The first instruction's interlock depends on state carried in
     // from before the block; the in-block stalls are precomputed.
     if (lastLoadDest_ != 0) {
@@ -966,10 +972,7 @@ Cpu::executeBlock(const isa::BlockMeta &meta,
         }
     }
     uint64_t stalls =
-        k == meta.len
-            ? meta.internalStalls
-            : static_cast<uint64_t>(std::popcount(
-                  meta.stallMask & ((1u << k) - 1)));
+        k == meta.len ? meta.internalStalls : blockStalls(meta, 0, k);
     stats_.cycles += k + stalls;
     stats_.loadUseStalls += stalls;
     stats_.userInsns += k;
@@ -989,13 +992,21 @@ Cpu::executeBlock(const isa::BlockMeta &meta,
         } else {
             pc = executeSlow(d, pc, regs, false);
             if (stats_.machineCheckHalt) [[unlikely]] {
-                // Stop at the faulting instruction; the batched
-                // accounting above already covered the block.
+                // Stop at the faulting instruction, which step() counts
+                // last: take back what the batch charged past it.
+                uint64_t tail = k - 1 - i;
+                uint64_t tail_stalls = blockStalls(meta, i + 1, k);
+                stats_.icacheAccesses -= tail;
+                stats_.userInsns -= tail;
+                stats_.cycles -= tail + tail_stalls;
+                stats_.loadUseStalls -= tail_stalls;
+                icache_.creditFetchHits(i);
                 pc_ = pc;
                 return;
             }
         }
     }
+    icache_.creditFetchHits(k - 1);
     pc_ = pc;
 }
 
@@ -1027,16 +1038,6 @@ Cpu::runHandler(uint32_t addr, uint32_t entry)
             : 0;
     // Interlock state does not carry across the pipeline flush.
     lastLoadDest_ = 0;
-    if (handlerSb_) {
-        runHandlerSuperblocks(hpc, regs, budget_end);
-        lastLoadDest_ = 0;
-        pc_ = c0_[isa::C0Epc];
-        if (obs) [[unlikely]] {
-            obs->handlerIret(stats_.cycles,
-                             stats_.handlerInsns - obs_hinsns0);
-        }
-        return pendingFault_;
-    }
     if (handlerBlocks_) {
         runHandlerBlocks(hpc, regs, budget_end);
         lastLoadDest_ = 0;
@@ -1113,17 +1114,18 @@ Cpu::runHandlerBlocks(uint32_t hpc, uint32_t *regs, uint64_t budget_end)
             raiseMc(McKind::HandlerRunaway, hpc, true);
             return hpc;
         }
-        if (budget_end && stats_.handlerInsns >= budget_end)
-            [[unlikely]] {
-            raiseMc(McKind::HandlerRunaway, hpc, true);
-            return hpc;
-        }
         if (cancelPoll()) [[unlikely]]
             return hpc;
         const isa::DecodedInst *insts;
         const isa::BlockMeta &m = handlerRam_.blockAt(hpc, insts);
         RTDC_ASSERT(!m.startsInvalid,
                     "invalid handler instruction at 0x%08x", hpc);
+        // Never run past the instruction budget: like runBlocks() with
+        // maxUserInsns, the block is cut to what is left of it, so the
+        // batched adds land on the per-instruction loop's counts.
+        uint32_t k = m.len;
+        if (budget_end && stats_.handlerInsns + k > budget_end)
+            k = static_cast<uint32_t>(budget_end - stats_.handlerInsns);
         if (lastLoadDest_ != 0) {
             const isa::DecodedInst &d0 = insts[0];
             for (unsigned s = 0; s < d0.nsrc; ++s) {
@@ -1134,890 +1136,47 @@ Cpu::runHandlerBlocks(uint32_t hpc, uint32_t *regs, uint64_t budget_end)
                 }
             }
         }
-        stats_.cycles += m.len + m.internalStalls;
-        stats_.loadUseStalls += m.internalStalls;
-        stats_.handlerInsns += m.len;
-        lastLoadDest_ = m.lastLoadDest;
+        uint32_t stalls =
+            k == m.len ? m.internalStalls : blockStalls(m, 0, k);
+        stats_.cycles += k + stalls;
+        stats_.loadUseStalls += stalls;
+        stats_.handlerInsns += k;
+        if (k == m.len)
+            lastLoadDest_ = m.lastLoadDest;
+        else
+            lastLoadDest_ = insts[k - 1].isLoad ? insts[k - 1].dest : 0;
 
         uint32_t pc = hpc;
-        for (uint32_t i = 0; i < m.len; ++i) {
+        for (uint32_t i = 0; i < k; ++i) {
             const isa::DecodedInst &d = insts[i];
             // iret is counted (cycle + instruction + interlock) but not
-            // executed, exactly as the per-instruction loop breaks.
+            // executed, exactly as the per-instruction loop breaks —
+            // also when it is the budget's last instruction.
             if (d.inst.op == Op::Iret)
                 return pc;
             if (executeAlu(d.inst, regs, hi_, lo_)) {
                 pc += 4;
             } else {
                 pc = executeSlow(d, pc, regs, true);
-                if (pendingFault_ != McKind::None) [[unlikely]]
+                if (pendingFault_ != McKind::None) [[unlikely]] {
+                    // The per-instruction loop stops counting at the
+                    // faulting instruction: take back the block's tail.
+                    uint32_t tail = k - 1 - i;
+                    uint32_t tail_stalls = blockStalls(m, i + 1, k);
+                    stats_.handlerInsns -= tail;
+                    stats_.cycles -= tail + tail_stalls;
+                    stats_.loadUseStalls -= tail_stalls;
                     return pc;
+                }
             }
         }
         hpc = pc;
-    }
-}
-
-void
-Cpu::runSuperblocks()
-{
-    if (!sbCache_)
-        sbCache_ = std::make_unique<isa::SuperblockCache>();
-    if (!blockCache_) {
-        blockCache_ =
-            std::make_unique<isa::BlockCache>(config_.icache.lineBytes);
-    }
-    const uint32_t line_mask = config_.icache.lineBytes - 1;
-    const uint32_t line_words = config_.icache.lineBytes / 4;
-    obs::Observer *const obs = config_.observer;
-
-    // Outer loop: one direct-mapped trace-cache probe per dispatch. No
-    // I-cache access happens here — execTrace() validates the entry
-    // segment's generation stamp like any other segment's, so a
-    // dispatch costs a hash and a compare, not a tag lookup.
-    while (true) {
-        if ((pc_ & 3) != 0) [[unlikely]] {
-            raiseMc(McKind::MisalignedFetch, pc_, false);
-            return;
-        }
-        isa::Superblock &sb = sbCache_->slot(pc_);
-        if (!sb.valid || sb.entryPc != pc_) [[unlikely]] {
-            if (++sb.heat < isa::kSbHeatThreshold) {
-                // Cold (or conflicting) entry: run one block through
-                // the blocks machinery — identical accounting, no
-                // recording — and re-dispatch. Only entries that keep
-                // coming back earn a trace (isa::kSbHeatThreshold), so
-                // straight-through code never churns the trace store.
-                // No blockBuilt event: that histogram counts the
-                // blocks *engine's* builds (tests/obs pins it to zero
-                // under this engine).
-                cache::FetchLine line;
-                if (!icache_.accessFetchLine(pc_, line)) {
-                    serviceUserMiss();
-                    if (stats_.machineCheckHalt || stats_.cancelled)
-                        return;
-                    icache_.peekFetchLine(pc_, line);
-                }
-                uint32_t off_words = (pc_ & line_mask) / 4;
-                const isa::DecodedInst *insts = line.decoded + off_words;
-                isa::DecodedBlock &blk = blockCache_->slot(pc_);
-                if (!blk.matches(pc_, line.gen)) {
-                    blockCache_->build(blk, pc_, line.gen, insts,
-                                       line_words - off_words);
-                }
-                uint64_t k = blk.meta.len;
-                if (config_.maxUserInsns) {
-                    uint64_t remaining =
-                        config_.maxUserInsns - stats_.userInsns;
-                    if (k > remaining)
-                        k = remaining;
-                }
-                executeBlock(blk.meta, insts, k);
-                if (stats_.halted || stats_.machineCheckHalt ||
-                    stats_.cancelled)
-                    return;
-                if (config_.maxUserInsns &&
-                    stats_.userInsns >= config_.maxUserInsns) {
-                    stats_.timedOut = true;
-                    return;
-                }
-                if (cancelPoll())
-                    return;
-                continue;
-            }
-            sbCache_->startTrace(sb, pc_);
-        }
-
-        uint32_t i = 0;
-        bool counted = false;
-        while (true) {
-            if (i == sb.nseg) {
-                // Append: extend the open trace with the block at pc_,
-                // through exactly the access the blocks engine makes
-                // at every dispatch (miss service included).
-                if ((pc_ & 3) != 0) [[unlikely]] {
-                    raiseMc(McKind::MisalignedFetch, pc_, false);
-                    return;
-                }
-                cache::FetchLine line;
-                if (!icache_.accessFetchLine(pc_, line)) {
-                    serviceUserMiss();
-                    if (stats_.machineCheckHalt || stats_.cancelled)
-                        return;
-                    icache_.peekFetchLine(pc_, line);
-                }
-                uint32_t off_words = (pc_ & line_mask) / 4;
-                const isa::DecodedInst *insts = line.decoded + off_words;
-                // Overlapping traces re-record the same blocks, so the
-                // scan is memoized in the same (pc, generation)-keyed
-                // BlockCache the blocks engine uses — a re-record of a
-                // live block costs a probe, not a re-scan. No
-                // blockBuilt event: that histogram counts the blocks
-                // *engine's* builds (tests/obs pins it to zero here).
-                isa::DecodedBlock &blk = blockCache_->slot(pc_);
-                if (!blk.matches(pc_, line.gen)) {
-                    blockCache_->build(blk, pc_, line.gen, insts,
-                                       line_words - off_words);
-                }
-                if (blk.meta.startsInvalid) [[unlikely]] {
-                    // Fault without recording: the access above already
-                    // counted, exactly matching the blocks engine's
-                    // dispatch of a startsInvalid block.
-                    raiseMc(McKind::InvalidInst, pc_, false);
-                    return;
-                }
-                isa::SbSegment &ns = sb.segs[i];
-                ns.insts = insts;
-                ns.pc = pc_;
-                ns.frame = line.frame;
-                ns.gen = line.gen;
-                ns.meta = blk.meta;
-                sb.nseg = i + 1;
-                counted = true;
-                if (sb.nseg == isa::kMaxSuperblockSegs) {
-                    sb.open = false;
-                    if (!sb.reported) {
-                        sb.reported = true;
-                        if (obs) [[unlikely]] {
-                            obs->superblockBuilt(sb.entryPc,
-                                                 sb.totalLen(),
-                                                 stats_.cycles);
-                        }
-                    }
-                }
-            }
-            uint32_t unused = 0;
-            TraceExit why = execTrace(false, sb, i, counted,
-                                             regs_.data(), 0, unused);
-            if (why == TraceExit::Stop)
-                return;
-            if (why == TraceExit::Diverge)
-                break;  // re-dispatch at pc_
-            i = sb.nseg;  // Append: record the next segment above
-            counted = false;
-        }
-    }
-}
-
-uint32_t
-Cpu::runHandlerSuperblocks(uint32_t hpc, uint32_t *regs,
-                           uint64_t budget_end)
-{
-    // Handler text is immutable after load(), so its traces need no
-    // generation checks and the trace store is direct-indexed by entry
-    // word (no collisions). runHandlerBlocks()'s per-block top checks
-    // — bounds, budget, cancel — keep their exact cadence: bounds are
-    // checked wherever hpc is dynamic (dispatch and appends; recorded
-    // segments are in-RAM by construction), budget and cancel once per
-    // segment inside execTrace().
-    while (true) {
-        if ((hpc & 3) != 0 || !handlerRam_.contains(hpc)) [[unlikely]] {
+        if (budget_end && stats_.handlerInsns >= budget_end)
+            [[unlikely]] {
             raiseMc(McKind::HandlerRunaway, hpc, true);
             return hpc;
         }
-        isa::Superblock &sb =
-            handlerSbs_[(hpc - mem::HandlerRam::base) / 4];
-        if (!sb.valid) {
-            sb.entryPc = hpc;
-            sb.nseg = 0;
-            sb.valid = true;
-            sb.open = true;
-            sb.reported = false;
-        }
-        uint32_t i = 0;
-        while (true) {
-            if (i == sb.nseg) {
-                // Grow the trace at hpc, then pre-chain as far as the
-                // load-time prescan resolved successors statically:
-                // fall-throughs across the decompressors' swics and
-                // in-RAM j/jal targets extend the trace before ever
-                // being executed (HandlerRam::staticSuccAt()).
-                const isa::DecodedInst *insts;
-                const isa::BlockMeta &m = handlerRam_.blockAt(hpc, insts);
-                RTDC_ASSERT(!m.startsInvalid,
-                            "invalid handler instruction at 0x%08x",
-                            hpc);
-                isa::SbSegment &ns = sb.segs[i];
-                ns.insts = insts;
-                ns.pc = hpc;
-                ns.meta = m;
-                sb.nseg = i + 1;
-                uint32_t succ = handlerRam_.staticSuccAt(hpc);
-                while (sb.nseg < isa::kMaxSuperblockSegs && succ != 0 &&
-                       succ != sb.entryPc) {
-                    const isa::DecodedInst *sinsts;
-                    const isa::BlockMeta &sm =
-                        handlerRam_.blockAt(succ, sinsts);
-                    isa::SbSegment &ps = sb.segs[sb.nseg];
-                    ps.insts = sinsts;
-                    ps.pc = succ;
-                    ps.meta = sm;
-                    ++sb.nseg;
-                    succ = handlerRam_.staticSuccAt(succ);
-                }
-                if (sb.nseg == isa::kMaxSuperblockSegs) {
-                    sb.open = false;
-                    if (!sb.reported) {
-                        sb.reported = true;
-                        if (config_.observer) [[unlikely]] {
-                            config_.observer->superblockBuilt(
-                                sb.entryPc, sb.totalLen(),
-                                stats_.cycles);
-                        }
-                    }
-                }
-            }
-            TraceExit why =
-                execTrace(true, sb, i, false, regs, budget_end, hpc);
-            if (why == TraceExit::Stop)
-                return hpc;
-            if (why == TraceExit::Diverge)
-                break;  // outer dispatch re-validates hpc
-            // Append at a dynamic successor: re-validate it first (the
-            // loop-top bounds check of runHandlerBlocks()).
-            if ((hpc & 3) != 0 || !handlerRam_.contains(hpc))
-                [[unlikely]] {
-                raiseMc(McKind::HandlerRunaway, hpc, true);
-                return hpc;
-            }
-            i = sb.nseg;
-        }
     }
-}
-
-/**
- * The threaded trace executor: segment boundaries and a computed-goto
- * jump table over Op in one function, dispatching straight from each
- * handler's tail to the next instruction's label with no switch, no
- * loop branch, and — critically — no call per segment (segments
- * average only a few instructions; see cpu.h). Semantics are
- * executeAlu()/executeSlow() verbatim — the ALU and memory subsets are
- * open-coded, everything else (syscall, halt, c0, iret) falls back to
- * executeSlow() — so RunStats stay byte-identical with the other
- * engines.
- */
-__attribute__((noclone)) Cpu::TraceExit
-Cpu::execTrace(bool kHandler, isa::Superblock &sb, uint32_t i,
-               bool counted,
-               uint32_t *regs, uint64_t budget_end, uint32_t &io_pc)
-{
-    // One entry per Op, in exact enum order (static_assert below).
-    static const void *const table[] = {
-        &&op_slow,                                          // Invalid
-        &&op_sll, &&op_srl, &&op_sra, &&op_sllv, &&op_srlv, &&op_srav,
-        &&op_add, &&op_add, &&op_sub, &&op_sub, &&op_and, &&op_or,
-        &&op_xor, &&op_nor, &&op_slt, &&op_sltu,
-        &&op_mult, &&op_multu, &&op_div, &&op_divu,
-        &&op_mfhi, &&op_mflo, &&op_mthi, &&op_mtlo,
-        &&op_addi, &&op_addi, &&op_slti, &&op_sltiu,
-        &&op_andi, &&op_ori, &&op_xori, &&op_lui,
-        &&op_j, &&op_jal, &&op_jr, &&op_jalr,
-        &&op_beq, &&op_bne, &&op_blez, &&op_bgtz, &&op_bltz, &&op_bgez,
-        &&op_lb, &&op_lh, &&op_lw, &&op_lbu, &&op_lhu,
-        &&op_sb, &&op_sh, &&op_sw,
-        &&op_slow, &&op_slow, &&op_slow,     // Syscall, Break, Halt
-        &&op_swic, &&op_slow, &&op_slow, &&op_slow, // Iret, Mfc0, Mtc0
-        &&op_lwx,
-    };
-    static_assert(sizeof(table) / sizeof(table[0]) ==
-                      static_cast<size_t>(Op::NumOps),
-                  "jump table out of sync with the Op enum");
-
-    obs::Observer *const obs = config_.observer;
-    const unsigned mispredict_penalty = config_.mispredictPenalty;
-    const unsigned redirect_penalty = config_.redirectPenalty;
-    const bool handler_uncached = config_.handlerDataUncached;
-
-    // Open-coded loadData()/storeData() hot paths (same accounting,
-    // same combined-lookup structure) so the memory ops inline into
-    // the dispatch loop; the uncached-handler ablation falls back to
-    // the shared out-of-line routines.
-    auto load_fast = [&](uint32_t addr, unsigned bytes,
-                         bool sign_ext) __attribute__((always_inline))
-        -> uint32_t {
-        if (kHandler && handler_uncached) [[unlikely]]
-            return loadData(addr, bytes, sign_ext, true);
-        ++stats_.dcacheAccesses;
-        uint32_t raw;
-        if (!dcache_.accessReadBytes(addr, bytes, raw)) [[unlikely]] {
-            dataMissFill(addr, kHandler);
-            switch (bytes) {
-              case 1: raw = dcache_.read8(addr); break;
-              case 2: raw = dcache_.read16(addr); break;
-              default: raw = dcache_.read32(addr); break;
-            }
-        }
-        if (sign_ext && bytes < 4)
-            return static_cast<uint32_t>(signExtend(raw, bytes * 8));
-        return raw;
-    };
-    auto store_fast = [&](uint32_t addr, uint32_t value,
-                          unsigned bytes) __attribute__((always_inline)) {
-        if (kHandler && handler_uncached) [[unlikely]] {
-            storeData(addr, value, bytes, true);
-            return;
-        }
-        ++stats_.dcacheAccesses;
-        if (!dcache_.accessWrite(addr, value, bytes)) [[unlikely]] {
-            dataMissFill(addr, kHandler);
-            switch (bytes) {
-              case 1:
-                dcache_.write8(addr, static_cast<uint8_t>(value));
-                break;
-              case 2:
-                dcache_.write16(addr, static_cast<uint16_t>(value));
-                break;
-              default: dcache_.write32(addr, value); break;
-            }
-        }
-        if (!kHandler && (addr - dmemLo_) < dmemSpan_) [[unlikely]]
-            markDmemDirty(addr);
-    };
-
-    isa::SbSegment *seg;
-    const isa::DecodedInst *insts;
-    const isa::DecodedInst *d;
-    uint64_t k, n;
-    uint32_t pc;
-    bool iret_tail = false;  // handler segment ending in iret
-    bool last_taken;         // direction of the segment's terminator
-
-seg_begin:
-    seg = &sb.segs[i];
-    last_taken = false;  // fall-through unless a control op says else
-    if (kHandler) {
-        // runHandlerBlocks()'s per-block top checks, same cadence.
-        if (budget_end && stats_.handlerInsns >= budget_end)
-            [[unlikely]] {
-            raiseMc(McKind::HandlerRunaway, seg->pc, true);
-            io_pc = seg->pc;
-            return TraceExit::Stop;
-        }
-        if (config_.cancel && cancelPoll()) [[unlikely]] {
-            io_pc = seg->pc;
-            return TraceExit::Stop;
-        }
-        const isa::BlockMeta &m = seg->meta;
-        if (lastLoadDest_ != 0) {
-            const isa::DecodedInst &d0 = seg->insts[0];
-            for (unsigned s = 0; s < d0.nsrc; ++s) {
-                if (d0.srcs[s] == lastLoadDest_) {
-                    ++stats_.cycles;
-                    ++stats_.loadUseStalls;
-                    break;
-                }
-            }
-        }
-        stats_.cycles += m.len + m.internalStalls;
-        stats_.loadUseStalls += m.internalStalls;
-        stats_.handlerInsns += m.len;
-        lastLoadDest_ = m.lastLoadDest;
-        k = m.len;
-        // iret is counted (the batched add above) but not executed,
-        // exactly as the per-block loops break on it.
-        if (seg->insts[k - 1].inst.op == Op::Iret) [[unlikely]] {
-            if (k == 1) {
-                io_pc = seg->pc;
-                return TraceExit::Stop;
-            }
-            --k;
-            iret_tail = true;
-        }
-    } else {
-        if (!counted) {
-            // Chained arrival: one generation compare replaces the tag
-            // lookup. A match proves the frame still holds the same
-            // line with the same bytes (cache/cache.h), so the
-            // recorded mirror pointer and accounting hold.
-            if (icache_.frameGen(seg->frame) != seg->gen) [[unlikely]] {
-                // Stale link: discard the trace (stale entry) or
-                // truncate it back to the live prefix and reopen it,
-                // then re-dispatch from the segment's pc so the access
-                // and any miss happen on the normal append path.
-                if (i == 0) {
-                    sb.valid = false;
-                } else {
-                    sb.nseg = i;
-                    sb.open = true;
-                }
-                sbCache_->noteRelink();
-                if (obs) [[unlikely]]
-                    obs->superblockRelink(sb.entryPc, stats_.cycles);
-                pc_ = seg->pc;
-                return TraceExit::Diverge;
-            }
-            icache_.touchFrame(seg->frame);
-        }
-        k = seg->meta.len;
-        if (config_.maxUserInsns) {
-            uint64_t remaining =
-                config_.maxUserInsns - stats_.userInsns;
-            if (k > remaining)
-                k = remaining;
-        }
-        // Batched accounting, mirroring executeBlock(): the dispatch
-        // probe (when one happened) stood in for one of the k
-        // per-instruction fetches; a chained arrival paid no probe and
-        // credits all k.
-        stats_.icacheAccesses += k;
-        icache_.creditFetchHits(counted ? k - 1 : k);
-        counted = false;
-        if (lastLoadDest_ != 0) {
-            const isa::DecodedInst &d0 = seg->insts[0];
-            for (unsigned s = 0; s < d0.nsrc; ++s) {
-                if (d0.srcs[s] == lastLoadDest_) {
-                    ++stats_.cycles;
-                    ++stats_.loadUseStalls;
-                    break;
-                }
-            }
-        }
-        uint64_t stalls =
-            k == seg->meta.len
-                ? seg->meta.internalStalls
-                : static_cast<uint64_t>(std::popcount(
-                      seg->meta.stallMask & ((1u << k) - 1)));
-        stats_.cycles += k + stalls;
-        stats_.loadUseStalls += stalls;
-        stats_.userInsns += k;
-        lastLoadDest_ =
-            seg->insts[k - 1].isLoad ? seg->insts[k - 1].dest : 0;
-    }
-
-    insts = seg->insts;
-    d = insts;
-    n = 0;
-    pc = seg->pc;
-    goto *table[static_cast<size_t>(d->inst.op)];
-
-// Advance to the next instruction with next-PC @p npc, or fall into
-// the segment epilogue when the segment's k instructions are done.
-#define RTDC_NEXT_AT(npc)                                              \
-    do {                                                               \
-        pc = (npc);                                                    \
-        if (++n == k)                                                  \
-            goto seg_done;                                             \
-        d = insts + n;                                                 \
-        goto *table[static_cast<size_t>(d->inst.op)];                  \
-    } while (0)
-#define RTDC_NEXT() RTDC_NEXT_AT(pc + 4)
-// RTDC_NEXT_AT for ops that can raise a machine check: stop at the
-// faulting instruction (user: halt flag; handler: latched fault), as
-// the block loops do after executeSlow().
-#define RTDC_NEXT_CHECKED(npc)                                         \
-    do {                                                               \
-        pc = (npc);                                                    \
-        if (kHandler ? pendingFault_ != McKind::None                   \
-                     : stats_.machineCheckHalt) [[unlikely]]           \
-            goto fault_done;                                           \
-        if (++n == k)                                                  \
-            goto seg_done;                                             \
-        d = insts + n;                                                 \
-        goto *table[static_cast<size_t>(d->inst.op)];                  \
-    } while (0)
-
-op_sll:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rt) << d->inst.shamt);
-    RTDC_NEXT();
-op_srl:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rt) >> d->inst.shamt);
-    RTDC_NEXT();
-op_sra:
-    writeReg(regs, d->inst.rd,
-             static_cast<uint32_t>(
-                 static_cast<int32_t>(readReg(regs, d->inst.rt)) >>
-                 d->inst.shamt));
-    RTDC_NEXT();
-op_sllv:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rt)
-                 << (readReg(regs, d->inst.rs) & 31));
-    RTDC_NEXT();
-op_srlv:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rt) >>
-                 (readReg(regs, d->inst.rs) & 31));
-    RTDC_NEXT();
-op_srav:
-    writeReg(regs, d->inst.rd,
-             static_cast<uint32_t>(
-                 static_cast<int32_t>(readReg(regs, d->inst.rt)) >>
-                 (readReg(regs, d->inst.rs) & 31)));
-    RTDC_NEXT();
-op_add:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) + readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_sub:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) - readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_and:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) & readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_or:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) | readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_xor:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) ^ readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_nor:
-    writeReg(regs, d->inst.rd,
-             ~(readReg(regs, d->inst.rs) | readReg(regs, d->inst.rt)));
-    RTDC_NEXT();
-op_slt:
-    writeReg(regs, d->inst.rd,
-             static_cast<int32_t>(readReg(regs, d->inst.rs)) <
-                 static_cast<int32_t>(readReg(regs, d->inst.rt)));
-    RTDC_NEXT();
-op_sltu:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) < readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_mult: {
-    int64_t prod =
-        static_cast<int64_t>(
-            static_cast<int32_t>(readReg(regs, d->inst.rs))) *
-        static_cast<int32_t>(readReg(regs, d->inst.rt));
-    lo_ = static_cast<uint32_t>(prod);
-    hi_ = static_cast<uint32_t>(prod >> 32);
-    RTDC_NEXT();
-}
-op_multu: {
-    uint64_t prod = static_cast<uint64_t>(readReg(regs, d->inst.rs)) *
-                    readReg(regs, d->inst.rt);
-    lo_ = static_cast<uint32_t>(prod);
-    hi_ = static_cast<uint32_t>(prod >> 32);
-    RTDC_NEXT();
-}
-op_div: {
-    int32_t a = static_cast<int32_t>(readReg(regs, d->inst.rs));
-    int32_t b = static_cast<int32_t>(readReg(regs, d->inst.rt));
-    if (b != 0 && !(a == INT32_MIN && b == -1)) {
-        lo_ = static_cast<uint32_t>(a / b);
-        hi_ = static_cast<uint32_t>(a % b);
-    }
-    RTDC_NEXT();
-}
-op_divu: {
-    uint32_t a = readReg(regs, d->inst.rs);
-    uint32_t b = readReg(regs, d->inst.rt);
-    if (b != 0) {
-        lo_ = a / b;
-        hi_ = a % b;
-    }
-    RTDC_NEXT();
-}
-op_mfhi:
-    writeReg(regs, d->inst.rd, hi_);
-    RTDC_NEXT();
-op_mflo:
-    writeReg(regs, d->inst.rd, lo_);
-    RTDC_NEXT();
-op_mthi:
-    hi_ = readReg(regs, d->inst.rs);
-    RTDC_NEXT();
-op_mtlo:
-    lo_ = readReg(regs, d->inst.rs);
-    RTDC_NEXT();
-op_addi:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) +
-                 static_cast<uint32_t>(
-                     static_cast<int32_t>(
-                         static_cast<int16_t>(d->inst.imm))));
-    RTDC_NEXT();
-op_slti:
-    writeReg(regs, d->inst.rt,
-             static_cast<int32_t>(readReg(regs, d->inst.rs)) <
-                 static_cast<int32_t>(
-                     static_cast<int16_t>(d->inst.imm)));
-    RTDC_NEXT();
-op_sltiu:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) <
-                 static_cast<uint32_t>(
-                     static_cast<int32_t>(
-                         static_cast<int16_t>(d->inst.imm))));
-    RTDC_NEXT();
-op_andi:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) & d->inst.imm);
-    RTDC_NEXT();
-op_ori:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) | d->inst.imm);
-    RTDC_NEXT();
-op_xori:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) ^ d->inst.imm);
-    RTDC_NEXT();
-op_lui:
-    writeReg(regs, d->inst.rt,
-             static_cast<uint32_t>(d->inst.imm) << 16);
-    RTDC_NEXT();
-
-// Open-coded accountControl(): unconditional transfers redirect fetch
-// at decode; conditional branches run the direction predictor.
-op_j:
-    stats_.cycles += redirect_penalty;
-    last_taken = true;
-    RTDC_NEXT_AT((pc & 0xf0000000u) | (d->inst.target << 2));
-op_jal:
-    stats_.cycles += redirect_penalty;
-    last_taken = true;
-    writeReg(regs, isa::Ra, pc + 4);
-    RTDC_NEXT_AT((pc & 0xf0000000u) | (d->inst.target << 2));
-op_jr:
-    stats_.cycles += redirect_penalty;
-    last_taken = true;
-    RTDC_NEXT_AT(readReg(regs, d->inst.rs));
-op_jalr:
-    // Write rd before reading rs, as executeSlow() does (rd == rs
-    // jumps to the link address).
-    stats_.cycles += redirect_penalty;
-    last_taken = true;
-    writeReg(regs, d->inst.rd, pc + 4);
-    RTDC_NEXT_AT(readReg(regs, d->inst.rs));
-
-#define RTDC_BRANCH(cond)                                              \
-    do {                                                               \
-        bool taken_ = (cond);                                          \
-        last_taken = taken_;                                           \
-        stats_.cycles += predictor_.update(pc, taken_)                 \
-                             ? (taken_ ? redirect_penalty : 0)         \
-                             : mispredict_penalty;                     \
-        RTDC_NEXT_AT(taken_                                            \
-                         ? pc + 4 +                                    \
-                               (static_cast<uint32_t>(                 \
-                                    static_cast<int32_t>(              \
-                                        static_cast<int16_t>(          \
-                                            d->inst.imm)))             \
-                                << 2)                                  \
-                         : pc + 4);                                    \
-    } while (0)
-
-op_beq:
-    RTDC_BRANCH(readReg(regs, d->inst.rs) == readReg(regs, d->inst.rt));
-op_bne:
-    RTDC_BRANCH(readReg(regs, d->inst.rs) != readReg(regs, d->inst.rt));
-op_blez:
-    RTDC_BRANCH(static_cast<int32_t>(readReg(regs, d->inst.rs)) <= 0);
-op_bgtz:
-    RTDC_BRANCH(static_cast<int32_t>(readReg(regs, d->inst.rs)) > 0);
-op_bltz:
-    RTDC_BRANCH(static_cast<int32_t>(readReg(regs, d->inst.rs)) < 0);
-op_bgez:
-    RTDC_BRANCH(static_cast<int32_t>(readReg(regs, d->inst.rs)) >= 0);
-#undef RTDC_BRANCH
-
-op_lb:
-    writeReg(regs, d->inst.rt,
-             load_fast(readReg(regs, d->inst.rs) +
-                           static_cast<uint32_t>(static_cast<int32_t>(
-                               static_cast<int16_t>(d->inst.imm))),
-                       1, true));
-    RTDC_NEXT_CHECKED(pc + 4);
-op_lbu:
-    writeReg(regs, d->inst.rt,
-             load_fast(readReg(regs, d->inst.rs) +
-                           static_cast<uint32_t>(static_cast<int32_t>(
-                               static_cast<int16_t>(d->inst.imm))),
-                       1, false));
-    RTDC_NEXT_CHECKED(pc + 4);
-op_lh: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 1) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
-    else
-        writeReg(regs, d->inst.rt, load_fast(addr, 2, true));
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_lhu: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 1) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
-    else
-        writeReg(regs, d->inst.rt, load_fast(addr, 2, false));
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_lw: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 3) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
-    else
-        writeReg(regs, d->inst.rt, load_fast(addr, 4, false));
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_lwx: {
-    uint32_t addr =
-        readReg(regs, d->inst.rs) + readReg(regs, d->inst.rt);
-    if ((addr & 3) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
-    else
-        writeReg(regs, d->inst.rd, load_fast(addr, 4, false));
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_sb:
-    store_fast(readReg(regs, d->inst.rs) +
-                   static_cast<uint32_t>(static_cast<int32_t>(
-                       static_cast<int16_t>(d->inst.imm))),
-               readReg(regs, d->inst.rt), 1);
-    RTDC_NEXT_CHECKED(pc + 4);
-op_sh: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 1) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
-    else
-        store_fast(addr, readReg(regs, d->inst.rt), 2);
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_sw: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 3) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
-    else
-        store_fast(addr, readReg(regs, d->inst.rt), 4);
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_swic: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 3) != 0 ||
-        (kHandler &&
-         (!decompressorAttached_ || addr < compressedLo_ ||
-          addr >= compressedHi_))) [[unlikely]] {
-        raiseMc(McKind::SwicRange, addr, kHandler);
-        RTDC_NEXT_CHECKED(pc + 4);
-    }
-    if (kHandler && config_.verifyDecompression)
-        verifySwic(addr, readReg(regs, d->inst.rt));
-    icache_.swicWrite(addr, readReg(regs, d->inst.rt));
-    if (obs) [[unlikely]]
-        obs->swicWrite(addr, stats_.cycles);
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-
-op_slow: {
-    // Syscall, Break, Halt, Iret, Mfc0, Mtc0, Invalid: cold ops take
-    // the interpreter switch; its faults stop the segment as above.
-    uint32_t next = executeSlow(*d, pc, regs, kHandler);
-    RTDC_NEXT_CHECKED(next);
-}
-
-seg_done:
-    if (kHandler) {
-        if (iret_tail) [[unlikely]] {
-            // pc is the iret's own address (straight-line up to it);
-            // dispatch ends exactly as the per-block loops break.
-            io_pc = pc;
-            return TraceExit::Stop;
-        }
-        ++i;
-        if (i < sb.nseg && pc == sb.segs[i].pc)
-            goto seg_begin;
-        {
-            // Graph chain: cached successor hint first (one compare,
-            // indexed by the terminator's direction), then a search of
-            // the recorded segments.
-            uint32_t next = i;
-            uint32_t j = seg->succ[last_taken];
-            if (j < sb.nseg && sb.segs[j].pc == pc) [[likely]] {
-                i = j;
-                goto seg_begin;
-            }
-            for (j = 0; j < sb.nseg; ++j) {
-                if (sb.segs[j].pc == pc) {
-                    seg->succ[last_taken] = static_cast<uint8_t>(j);
-                    // The first non-sequential internal link proves
-                    // the graph has a cycle: fire the one-shot
-                    // "built" event.
-                    if (j != next && !sb.reported) [[unlikely]] {
-                        sb.reported = true;
-                        if (obs) {
-                            obs->superblockBuilt(sb.entryPc,
-                                                 sb.totalLen(),
-                                                 stats_.cycles);
-                        }
-                    }
-                    i = j;
-                    goto seg_begin;
-                }
-            }
-        }
-        io_pc = pc;
-        return sb.open ? TraceExit::Append : TraceExit::Diverge;
-    } else {
-        pc_ = pc;
-        if (stats_.halted || stats_.machineCheckHalt ||
-            stats_.cancelled) [[unlikely]] {
-            return TraceExit::Stop;
-        }
-        if (config_.maxUserInsns &&
-            stats_.userInsns >= config_.maxUserInsns) [[unlikely]] {
-            stats_.timedOut = true;
-            return TraceExit::Stop;
-        }
-        if (config_.cancel && cancelPoll()) [[unlikely]]
-            return TraceExit::Stop;
-        ++i;
-        if (i < sb.nseg && pc == sb.segs[i].pc)
-            goto seg_begin;
-        {
-            // Same chaining as the handler side above.
-            uint32_t next = i;
-            uint32_t j = seg->succ[last_taken];
-            if (j < sb.nseg && sb.segs[j].pc == pc) [[likely]] {
-                i = j;
-                goto seg_begin;
-            }
-            for (j = 0; j < sb.nseg; ++j) {
-                if (sb.segs[j].pc == pc) {
-                    seg->succ[last_taken] = static_cast<uint8_t>(j);
-                    if (j != next && !sb.reported) [[unlikely]] {
-                        sb.reported = true;
-                        if (obs) {
-                            obs->superblockBuilt(sb.entryPc,
-                                                 sb.totalLen(),
-                                                 stats_.cycles);
-                        }
-                    }
-                    i = j;
-                    goto seg_begin;
-                }
-            }
-        }
-        return sb.open ? TraceExit::Append : TraceExit::Diverge;
-    }
-
-fault_done:
-    // A machine check latched mid-segment (user: immediate halt flag;
-    // handler: pendingFault_): stop at the faulting instruction.
-    if (kHandler)
-        io_pc = pc;
-    else
-        pc_ = pc;
-    return TraceExit::Stop;
-
-#undef RTDC_NEXT_AT
-#undef RTDC_NEXT
-#undef RTDC_NEXT_CHECKED
 }
 
 void

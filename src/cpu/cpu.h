@@ -39,7 +39,6 @@
 #include "isa/blocks.h"
 #include "isa/isa.h"
 #include "isa/predecode.h"
-#include "isa/superblock.h"
 #include "mem/handler_ram.h"
 #include "mem/main_memory.h"
 #include "proccache/manager.h"
@@ -105,22 +104,20 @@ struct CpuConfig
      * back to per-instruction stepping under profiling, tracing, and
      * the procedure-cache baseline. Host-side memoization only —
      * RunStats are identical either way (tests/cpu/test_blocks.cc and
-     * the superblock_parity_smoke ctest assert it); off = escape hatch
+     * the engine_parity_smoke ctest assert it); off = escape hatch
      * and perf baseline.
      */
     bool blockExec = true;
     /**
-     * Superblock (trace) execution engine: chain the blocks the program
-     * actually executes — across predicted-taken and unconditional
-     * branches — into superblocks with inline-cached successor
-     * pointers, each link validated by the line generation stamps, and
-     * dispatch each segment's instructions with a computed-goto
-     * threaded interpreter (DESIGN.md section 15). Requires blockExec
-     * (and so predecode); falls back with it under profiling, tracing,
-     * and the procedure-cache baseline. Host-side memoization only —
-     * RunStats are identical either way (tests/cpu/test_superblock.cc
-     * and the superblock_parity_smoke ctest assert it); off = the
-     * blocks engine, kept as escape hatch and perf baseline.
+     * Unused: no engine reads this field; the blocks engine is the
+     * default and the only fast path. The field stays, with its default
+     * left at true, because two things pin it:
+     *  - the frozen perfbench/src/sim_cc1.cc assigns it;
+     *  - encodeCpuConfig (src/serve/wire.cc) writes it into every job
+     *    content key, and those keys are pinned by
+     *    EncodeOnce.MatrixKeysIdsAndSweepBeginMatchTheJsonBuiltBytes
+     *    (e16c4f8f49a487e1 / f654153d88f23f24 / c5df78c39cc53354).
+     * Removing it needs a perfbench change and a wire-key decision.
      */
     bool superblockExec = true;
     /**
@@ -336,12 +333,6 @@ class Cpu
     /** Block cache (nullptr until the first block-mode run()). */
     const isa::BlockCache *blockCache() const { return blockCache_.get(); }
 
-    /** Trace cache (nullptr until the first superblock-mode run()). */
-    const isa::SuperblockCache *superblockCache() const
-    {
-        return sbCache_.get();
-    }
-
   private:
     /** Execute one user instruction (fetch, decode, execute, retire). */
     void step();
@@ -362,49 +353,15 @@ class Cpu
      */
     void executeBlock(const isa::BlockMeta &meta,
                       const isa::DecodedInst *insts, uint64_t k);
-    /** runHandler()'s dispatch loop over the handler RAM's blocks.
-     *  @param budget_end handlerInsns bound (0 = unlimited). */
+    /**
+     * runHandler()'s dispatch loop over the handler RAM's blocks. A
+     * block is clamped to the instructions left in the budget, so
+     * HandlerRunaway latches at the same instruction, hpc and counts
+     * as in the per-instruction loop.
+     * @param budget_end handlerInsns bound (0 = unlimited).
+     */
     uint32_t runHandlerBlocks(uint32_t hpc, uint32_t *regs,
                               uint64_t budget_end);
-    /**
-     * Superblock-dispatch main loop (the superblockExec fast path):
-     * per trace, one SuperblockCache probe at the entry; chained
-     * segments validate with a frame-generation compare only and
-     * execute through the threaded interpreter, with one batched
-     * stats/cycles add per segment (DESIGN.md section 15).
-     */
-    void runSuperblocks();
-    /** runHandler()'s superblock dispatch loop (pre-chained via
-     *  HandlerRam::staticSuccAt(), no generation checks). */
-    uint32_t runHandlerSuperblocks(uint32_t hpc, uint32_t *regs,
-                                   uint64_t budget_end);
-    /** Why execTrace() handed control back to its dispatch loop. */
-    enum class TraceExit : uint8_t
-    {
-        Stop,     ///< run over: halt/fault/cancel/timeout/budget/iret
-        Diverge,  ///< left the trace (branch divergence or relink)
-        Append,   ///< open trace needs its next segment recorded
-    };
-    /**
-     * Threaded (computed-goto) trace executor: runs the recorded
-     * segments of @p sb starting at index @p i entirely in-line — the
-     * per-segment boundary work (generation validation, batched
-     * stats/cycles adds, budget/cancel polls, interlock heads) and the
-     * per-instruction jump-table dispatch live in one function, so a
-     * closed loop trace executes indefinitely without a single call
-     * per segment. This is the engine's whole speed story: segments
-     * average only a few instructions, so any per-segment call
-     * overhead would swamp the batching win.
-     *
-     * User side (kHandler = false): runs on pc_; @p counted means
-     * segment @p i's dispatch I-cache access already happened (the
-     * append path probed it). Handler side: @p io_pc carries hpc in
-     * and out; @p counted is ignored.
-     */
-    TraceExit execTrace(bool kHandler, isa::Superblock &sb,
-                        uint32_t i, bool counted,
-                        uint32_t *regs, uint64_t budget_end,
-                        uint32_t &io_pc);
     /**
      * Fetch the (pre)decoded instruction at pc_, servicing any miss.
      * The reference points into the I-cache's decoded store (predecode
@@ -427,7 +384,7 @@ class Cpu
      * the page, CRC-check the result, and mark the page resident —
      * retrying per mcRetryLimit on a machine check (DESIGN.md
      * section 18). Engine-independent: reached only through
-     * dataMissFill(), the single D-miss choke point of all four
+     * dataMissFill(), the single D-miss choke point of all three
      * execution engines.
      */
     void serviceDMiss(uint32_t addr);
@@ -466,7 +423,7 @@ class Cpu
     void dataAccess(uint32_t addr, bool is_store, bool handler);
     /**
      * D-cache miss service: fill from memory, write back a dirty
-     * victim. The single D-miss choke point of all four execution
+     * victim. The single D-miss choke point of all three execution
      * engines: a user miss into a still-compressed data page runs
      * serviceDMiss() first, a handler miss outside its active fault
      * page machine-checks, and the L2 timing model (when enabled)
@@ -597,14 +554,8 @@ class Cpu
     isa::DecodedInst fetchScratch_;
     /** User-side block cache (created lazily by runBlocks()). */
     std::unique_ptr<isa::BlockCache> blockCache_;
-    /** User-side trace cache (created lazily by runSuperblocks()). */
-    std::unique_ptr<isa::SuperblockCache> sbCache_;
-    /** Handler-side traces, one per handler word (sized by run()). */
-    std::vector<isa::Superblock> handlerSbs_;
     /** Handler block dispatch enabled for this run (set by run()). */
     bool handlerBlocks_ = false;
-    /** Handler superblock dispatch enabled for this run (set by run()). */
-    bool handlerSb_ = false;
 };
 
 } // namespace rtd::cpu

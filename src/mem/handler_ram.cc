@@ -23,34 +23,6 @@ HandlerRam::load(const std::vector<uint32_t> &code)
             static_cast<uint32_t>(code_.size() - i),
             /*swic_ends=*/false);
     }
-    // Statically resolvable successors, for superblock pre-chaining:
-    // fall-through (window cap, pre-invalid break, or a non-terminating
-    // swic) continues at the next word; j/jal targets inside the RAM
-    // resolve from the encoding. Everything else (conditional branches,
-    // jr/jalr, iret, halt) is dynamic or ends dispatch — successor 0.
-    staticSucc_.assign(code_.size(), 0);
-    for (size_t i = 0; i < code_.size(); ++i) {
-        const isa::BlockMeta &m = blockMeta_[i];
-        if (m.startsInvalid)
-            continue;
-        const isa::DecodedInst &last = decoded_[i + m.len - 1];
-        uint32_t succ = 0;
-        if (!isa::endsBlock(last) || last.inst.op == isa::Op::Swic) {
-            if (i + m.len < code_.size() &&
-                !blockMeta_[i + m.len].startsInvalid)
-                succ = base + static_cast<uint32_t>(i + m.len) * 4;
-        } else if (last.inst.op == isa::Op::J ||
-                   last.inst.op == isa::Op::Jal) {
-            uint32_t jump_pc =
-                base + static_cast<uint32_t>(i + m.len - 1) * 4;
-            uint32_t target =
-                (jump_pc & 0xf0000000u) | (last.inst.target << 2);
-            if (contains(target) &&
-                !blockMeta_[(target - base) / 4].startsInvalid)
-                succ = target;
-        }
-        staticSucc_[i] = succ;
-    }
 }
 
 } // namespace rtd::mem

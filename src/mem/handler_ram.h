@@ -110,27 +110,6 @@ class HandlerRam
         return blockMeta_[idx];
     }
 
-    /**
-     * Statically-known successor of the block entered at @p addr, or 0
-     * when the successor depends on run-time state (conditional
-     * branches, jr/jalr) or ends dispatch (iret, halt, RAM end).
-     * Computed once at load(): a block falls through past its window
-     * cap, an undecodable word, or its internal swics (handler text is
-     * immutable, so swics never end handler blocks), and j/jal targets
-     * inside the RAM resolve statically. The superblock engine uses
-     * this to pre-chain handler traces across the decompressors'
-     * swic-heavy inner loops without observing an execution first.
-     */
-    uint32_t
-    staticSuccAt(uint32_t addr) const
-    {
-        RTDC_ASSERT(contains(addr), "handler fetch outside RAM: 0x%08x",
-                    addr);
-        RTDC_ASSERT((addr & 3) == 0, "misaligned handler fetch: 0x%08x",
-                    addr);
-        return staticSucc_[(addr - base) / 4];
-    }
-
     /** Handler entry point (== base). */
     uint32_t entry() const { return base; }
 
@@ -146,7 +125,6 @@ class HandlerRam
     std::vector<uint32_t> code_;
     std::vector<isa::DecodedInst> decoded_;  ///< one entry per word
     std::vector<isa::BlockMeta> blockMeta_;  ///< block starting per word
-    std::vector<uint32_t> staticSucc_;       ///< successor PC per word, 0=dynamic
 };
 
 } // namespace rtd::mem

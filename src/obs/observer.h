@@ -27,10 +27,6 @@
  *  - counter   "dmem_faults"         == RunStats::dmemFaults
  *  - histogram "dmiss_service_cycles" count == dmemFaults
  *  - histogram "block_len_insns"     (blocks engine only)
- *  - histogram "superblock_len_insns" (superblock engine: insns per
- *                                    closed trace)
- *  - counter   "superblock_relinks"  (traces truncated/discarded after
- *                                    a stale generation stamp)
  */
 
 #ifndef RTDC_OBS_OBSERVER_H
@@ -106,10 +102,6 @@ class Observer
     void machineCheck(uint8_t kind, uint32_t addr, uint64_t cycle);
     /** A block of @p len instructions entered the block cache. */
     void blockBuilt(uint32_t len);
-    /** A superblock closed at @p pc with @p len total instructions. */
-    void superblockBuilt(uint32_t pc, uint32_t len, uint64_t cycle);
-    /** The trace at @p pc was truncated/discarded (stale stamp). */
-    void superblockRelink(uint32_t pc, uint64_t cycle);
     /// @}
 
     /// @name Post-run access
@@ -147,8 +139,6 @@ class Observer
     Counter *dmemFaults_;
     Log2Histogram *dmissService_;
     Log2Histogram *blockLen_;
-    Log2Histogram *superblockLen_;
-    Counter *superblockRelinks_;
 };
 
 } // namespace rtd::obs

@@ -12,7 +12,9 @@
  * cache. Below: scanBlock unit tests (terminators, line caps, interlock
  * masks), BlockCache build/validate behaviour, the I-cache generation
  * invariants that make cached blocks coherent, and end-to-end RunStats
- * parity across schemes, eviction pressure, and mid-block timeouts.
+ * parity across schemes, eviction pressure, mid-block timeouts,
+ * handler instruction budgets that expire mid-block, and machine checks
+ * raised in the middle of a block.
  */
 
 #include <cstring>
@@ -21,9 +23,11 @@
 
 #include "cache/cache.h"
 #include "core/system.h"
+#include "fault/fault.h"
 #include "isa/blocks.h"
 #include "isa/predecode.h"
 #include "mem/handler_ram.h"
+#include "obs/observer.h"
 #include "runtime/handlers.h"
 #include "workload/benchmarks.h"
 #include "workload/generator.h"
@@ -370,6 +374,19 @@ expectIdenticalStats(const RunStats &on, const RunStats &off,
     EXPECT_EQ(on.procCompactedBytes, off.procCompactedBytes) << label;
     EXPECT_EQ(on.procDecompressedBytes, off.procDecompressedBytes)
         << label;
+    EXPECT_EQ(on.dmemFaults, off.dmemFaults) << label;
+    EXPECT_EQ(on.dmemEvictions, off.dmemEvictions) << label;
+    EXPECT_EQ(on.dmemSpills, off.dmemSpills) << label;
+    EXPECT_EQ(on.dmemDecompressedBytes, off.dmemDecompressedBytes)
+        << label;
+    EXPECT_EQ(on.l2Hits, off.l2Hits) << label;
+    EXPECT_EQ(on.l2Misses, off.l2Misses) << label;
+    EXPECT_EQ(on.machineChecks, off.machineChecks) << label;
+    EXPECT_EQ(on.integrityRetries, off.integrityRetries) << label;
+    EXPECT_EQ(on.machineCheckHalt, off.machineCheckHalt) << label;
+    EXPECT_EQ(on.cancelled, off.cancelled) << label;
+    EXPECT_EQ(on.faultKind, off.faultKind) << label;
+    EXPECT_EQ(on.faultAddr, off.faultAddr) << label;
     EXPECT_EQ(on.halted, off.halted) << label;
     EXPECT_EQ(on.timedOut, off.timedOut) << label;
     EXPECT_EQ(on.exitCode, off.exitCode) << label;
@@ -392,9 +409,6 @@ class BlockParity : public ::testing::Test
         core::SystemConfig config;
         config.cpu.maxUserInsns = 20'000'000;
         config.cpu.blockExec = block_exec;
-        // Pin the blocks engine: superblock parity has its own suite
-        // (tests/cpu/test_superblock.cc).
-        config.cpu.superblockExec = false;
         config.scheme = scheme;
         config.secondRegFile = rf;
         core::System system(program_, config);
@@ -445,7 +459,6 @@ TEST_F(BlockParity, ProcCacheRunFallsBackIdentically)
         core::SystemConfig config;
         config.cpu.maxUserInsns = 20'000'000;
         config.cpu.blockExec = block_exec;
-        config.cpu.superblockExec = false;
         config.scheme = Scheme::ProcLzrw1;
         config.procCache.capacityBytes = 4 * 1024;
         core::System system(program_, config);
@@ -468,7 +481,6 @@ TEST_F(BlockParity, EvictionPressureIsIdentical)
         core::SystemConfig config;
         config.cpu.maxUserInsns = 20'000'000;
         config.cpu.blockExec = block_exec;
-        config.cpu.superblockExec = false;
         config.cpu.icache.sizeBytes = 1024;
         config.scheme = scheme;
         core::System system(program_, config);
@@ -493,8 +505,7 @@ TEST_F(BlockParity, MidBlockTimeoutIsIdentical)
             core::SystemConfig config;
             config.cpu.maxUserInsns = budget;
             config.cpu.blockExec = block_exec;
-            config.cpu.superblockExec = false;
-            config.scheme = Scheme::Dictionary;
+                config.scheme = Scheme::Dictionary;
             core::System system(program_, config);
             return system.run().stats;
         };
@@ -504,6 +515,106 @@ TEST_F(BlockParity, MidBlockTimeoutIsIdentical)
         EXPECT_EQ(on.userInsns, budget);
         expectIdenticalStats(on, off, "timeout");
     }
+}
+
+/** Blocks vs scalar predecode with a handler instruction budget. */
+RunStats
+runWithHandlerBudget(const prog::Program &program, Scheme scheme,
+                     bool block_exec, uint64_t budget)
+{
+    core::SystemConfig config;
+    config.cpu.maxUserInsns = 20'000'000;
+    config.cpu.blockExec = block_exec;
+    config.cpu.handlerInsnBudget = budget;
+    config.scheme = scheme;
+    core::System system(program, config);
+    return system.run().stats;
+}
+
+TEST_F(BlockParity, HandlerBudgetLatchesAtTheScalarInstruction)
+{
+    // A handler budget that expires in the middle of a handler block
+    // must raise HandlerRunaway at the same instruction, hpc, cycle and
+    // counts as per-instruction stepping: the block is cut to the
+    // budget, never run to its end first. With the budget equal to the
+    // longest handler invocation, that invocation's iret is the
+    // budget's last instruction, and neither engine latches.
+    for (Scheme scheme : {Scheme::Dictionary, Scheme::CodePack}) {
+        core::SystemConfig config;
+        config.cpu.maxUserInsns = 20'000'000;
+        config.scheme = scheme;
+        config.observe.enabled = true;
+        core::System system(program_, config);
+        ASSERT_TRUE(system.run().stats.halted);
+        const obs::Log2Histogram *per_call =
+            system.observer()->registry().findHistogram(
+                "handler_insns_per_invocation");
+        ASSERT_NE(per_call, nullptr);
+        const uint64_t longest = per_call->max();
+        ASSERT_GT(longest, 7u);
+
+        for (uint64_t budget :
+             {uint64_t{7}, uint64_t{64}, uint64_t{65}, uint64_t{1000},
+              longest - 1, longest}) {
+            std::string label = std::string(compress::schemeName(scheme)) +
+                                " budget " + std::to_string(budget);
+            RunStats scalar =
+                runWithHandlerBudget(program_, scheme, false, budget);
+            EXPECT_EQ(scalar.machineCheckHalt, budget < longest) << label;
+            if (budget < longest) {
+                EXPECT_EQ(scalar.faultKind, McKind::HandlerRunaway)
+                    << label;
+            }
+            expectIdenticalStats(
+                runWithHandlerBudget(program_, scheme, true, budget),
+                scalar, label);
+        }
+    }
+}
+
+TEST_F(BlockParity, MidBlockMachineCheckStopsAtTheFaultingInstruction)
+{
+    // Corrupted images without integrity checks install wrong words
+    // that run as user code; a misaligned access in the middle of a
+    // block halts the run there. The block was charged up front, so
+    // the engine must take back its tail to land on the counts
+    // per-instruction stepping stops at.
+    struct Case
+    {
+        Scheme scheme;
+        uint64_t firstSeed;
+    };
+    unsigned user_faults = 0;
+    for (const Case &c : {Case{Scheme::Dictionary, 33},
+                          Case{Scheme::CodePack, 5},
+                          Case{Scheme::HuffmanLine, 20}}) {
+        for (uint64_t seed = c.firstSeed; seed < c.firstSeed + 8; ++seed) {
+            auto run = [&](bool block_exec) {
+                core::SystemConfig config;
+                config.cpu.maxUserInsns = 3'000'000;
+                config.cpu.blockExec = block_exec;
+                config.cpu.mcRetryLimit = 1;
+                config.cpu.handlerInsnBudget = 1'000'000;
+                config.scheme = c.scheme;
+                fault::FaultPlan plan;
+                plan.seed = seed;
+                plan.site = fault::Site::Any;
+                plan.count = 1 + seed % 3;
+                config.fault.plans.push_back(plan);
+                core::System system(program_, config);
+                return system.run().stats;
+            };
+            RunStats scalar = run(false);
+            if (scalar.faultKind == McKind::MisalignedData)
+                ++user_faults;
+            expectIdenticalStats(run(true), scalar,
+                                 std::string(compress::schemeName(
+                                     c.scheme)) +
+                                     " seed " + std::to_string(seed));
+        }
+    }
+    // The seeds were picked so that several runs do fault mid-block.
+    EXPECT_GE(user_faults, 3u);
 }
 
 } // namespace

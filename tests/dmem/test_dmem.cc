@@ -203,11 +203,10 @@ TEST(DmemSystemTest, EnginesStayParityIdenticalWithDataCompression)
     auto built = std::make_shared<const core::BuiltImage>(
         core::buildImage(program, base));
     cpu::RunStats first;
-    for (int combo = 0; combo < 8; ++combo) {
+    for (int combo = 0; combo < 4; ++combo) {
         core::SystemConfig config = base;
         config.cpu.predecode = (combo & 1) != 0;
         config.cpu.blockExec = (combo & 2) != 0;
-        config.cpu.superblockExec = (combo & 4) != 0;
         core::System system(built, config);
         cpu::RunStats stats = system.run().stats;
         if (combo == 0) {

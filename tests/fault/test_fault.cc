@@ -582,19 +582,17 @@ TEST(Cancellation, EveryEngineHonorsTheCancelFlag)
     struct Engine
     {
         const char *name;
-        bool predecode, blockExec, superblockExec;
+        bool predecode, blockExec;
     };
     for (const Engine &engine :
-         {Engine{"legacy", false, false, false},
-          Engine{"predecode", true, false, false},
-          Engine{"blocks", true, true, false},
-          Engine{"superblock", true, true, true}}) {
+         {Engine{"legacy", false, false},
+          Engine{"predecode", true, false},
+          Engine{"blocks", true, true}}) {
         std::atomic<bool> cancel{true};
         core::SystemConfig config;
         config.cpu = core::paperMachine();
         config.cpu.predecode = engine.predecode;
         config.cpu.blockExec = engine.blockExec;
-        config.cpu.superblockExec = engine.superblockExec;
         config.cpu.cancel = &cancel;
         config.scheme = Scheme::Dictionary;
         core::System system(program, config);

@@ -333,18 +333,16 @@ TEST(Reconciliation, HoldsOnEveryExecutionEngine)
     struct Engine
     {
         const char *name;
-        bool predecode, blockExec, superblockExec;
+        bool predecode, blockExec;
     };
     for (const Engine &engine :
-         {Engine{"legacy", false, false, false},
-          Engine{"predecode", true, false, false},
-          Engine{"blocks", true, true, false},
-          Engine{"superblock", true, true, true}}) {
+         {Engine{"legacy", false, false},
+          Engine{"predecode", true, false},
+          Engine{"blocks", true, true}}) {
         core::SystemConfig config;
         config.cpu = core::paperMachine();
         config.cpu.predecode = engine.predecode;
         config.cpu.blockExec = engine.blockExec;
-        config.cpu.superblockExec = engine.superblockExec;
         config.scheme = Scheme::Dictionary;
         config.observe.enabled = true;
         core::System system(program, config);
@@ -355,20 +353,10 @@ TEST(Reconciliation, HoldsOnEveryExecutionEngine)
             system.observer()->registry().findHistogram(
                 "block_len_insns");
         ASSERT_NE(blocks, nullptr) << engine.name;
-        // The superblock engine batches at trace granularity: block
-        // builds no longer happen, superblock builds do.
-        if (engine.blockExec && !engine.superblockExec)
+        if (engine.blockExec)
             EXPECT_GT(blocks->count(), 0u) << engine.name;
         else
             EXPECT_EQ(blocks->count(), 0u) << engine.name;
-        const Log2Histogram *sbs =
-            system.observer()->registry().findHistogram(
-                "superblock_len_insns");
-        ASSERT_NE(sbs, nullptr) << engine.name;
-        if (engine.superblockExec)
-            EXPECT_GT(sbs->count(), 0u) << engine.name;
-        else
-            EXPECT_EQ(sbs->count(), 0u) << engine.name;
     }
 }
 
