@@ -113,7 +113,7 @@ struct CpuConfig
      * default and the only fast path. The field stays, with its default
      * left at true, because two things pin it:
      *  - the frozen perfbench/src/sim_cc1.cc assigns it;
-     *  - encodeCpuConfig (src/serve/wire.cc) writes it into every job
+     *  - appendCpuConfig (src/serve/wire.cc) writes it into every job
      *    content key, and those keys are pinned by
      *    EncodeOnce.MatrixKeysIdsAndSweepBeginMatchTheJsonBuiltBytes
      *    (e16c4f8f49a487e1 / f654153d88f23f24 / c5df78c39cc53354).

@@ -7,9 +7,8 @@
 namespace rtd::harness {
 
 uint64_t
-stableHash64(std::string_view bytes)
+stableHash64(std::string_view bytes, uint64_t hash)
 {
-    uint64_t hash = 0xcbf29ce484222325ull;
     for (unsigned char c : bytes) {
         hash ^= c;
         hash *= 0x100000001b3ull;

@@ -40,8 +40,13 @@
 
 namespace rtd::harness {
 
-/** FNV-1a 64-bit content hash (stable across runs and platforms). */
-uint64_t stableHash64(std::string_view bytes);
+/**
+ * FNV-1a 64-bit content hash (stable across runs and platforms). Pass
+ * the hash of a prefix as @p hash to continue it: hashing a string
+ * piece by piece gives the hash of the whole.
+ */
+uint64_t stableHash64(std::string_view bytes,
+                      uint64_t hash = 0xcbf29ce484222325ull);
 
 /**
  * Byte-level backing store an ArtifactCache can spill artifacts to and

@@ -47,6 +47,15 @@ Json::object()
     return v;
 }
 
+Json
+Json::raw(std::string compactJson)
+{
+    Json v;
+    v.kind_ = Kind::Raw;
+    v.value_.emplace<std::string>(std::move(compactJson));
+    return v;
+}
+
 bool
 Json::asBool() const
 {
@@ -163,10 +172,31 @@ Json::members() const
 
 namespace {
 
-/** Append @p s as a quoted JSON string; bytes that need no escape are
- *  copied in runs. */
+/** Append @p value the way printf's %lld / %llu / %.*g would. */
+template <typename... Format>
 void
-appendEscaped(std::string &out, std::string_view s)
+appendNumber(std::string &out, Format... value_and_format)
+{
+    char buf[40];
+    std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, value_and_format...);
+    out.append(buf, r.ptr);
+}
+
+void
+appendNewline(std::string &out, int indent, int depth)
+{
+    if (indent <= 0)
+        return;
+    out += '\n';
+    out.append(static_cast<size_t>(indent) * depth, ' ');
+}
+
+} // namespace
+
+/** Bytes that need no escape are copied in runs. */
+void
+Json::appendString(std::string &out, std::string_view s)
 {
     static const char kHex[] = "0123456789abcdef";
     out += '"';
@@ -196,27 +226,29 @@ appendEscaped(std::string &out, std::string_view s)
     out += '"';
 }
 
-/** Append @p value the way printf's %lld / %llu / %.*g would. */
-template <typename... Format>
 void
-appendNumber(std::string &out, Format... value_and_format)
+Json::appendInt(std::string &out, int64_t value)
 {
-    char buf[40];
-    std::to_chars_result r =
-        std::to_chars(buf, buf + sizeof buf, value_and_format...);
-    out.append(buf, r.ptr);
+    appendNumber(out, value);
 }
 
 void
-appendNewline(std::string &out, int indent, int depth)
+Json::appendUInt(std::string &out, uint64_t value)
 {
-    if (indent <= 0)
+    appendNumber(out, value);
+}
+
+void
+Json::appendDouble(std::string &out, double value, bool exact)
+{
+    if (!std::isfinite(value)) {
+        out += "null";
         return;
-    out += '\n';
-    out.append(static_cast<size_t>(indent) * depth, ' ');
+    }
+    // to_chars' "general" format at a given precision is defined as
+    // printf's %.*g: the bytes are the snprintf ones.
+    appendNumber(out, value, std::chars_format::general, exact ? 17 : 10);
 }
-
-} // namespace
 
 void
 Json::dumpTo(std::string &out, int indent, int depth) const
@@ -229,19 +261,19 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Int:
-        appendNumber(out, int_);
+        appendInt(out, int_);
         break;
       case Kind::UInt:
-        appendNumber(out, asUInt64());
+        appendUInt(out, asUInt64());
         break;
       case Kind::Double:
-        // to_chars' "general" format at a given precision is defined
-        // as printf's %.*g: the bytes are the snprintf ones.
-        appendNumber(out, double_, std::chars_format::general,
-                     exact_ ? 17 : 10);
+        appendDouble(out, double_, exact_);
         break;
       case Kind::String:
-        appendEscaped(out, std::get<std::string>(value_));
+        appendString(out, std::get<std::string>(value_));
+        break;
+      case Kind::Raw:
+        out += std::get<std::string>(value_);
         break;
       case Kind::Array: {
         const std::vector<Json> &items = std::get<std::vector<Json>>(value_);
@@ -264,7 +296,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
             if (i)
                 out += ',';
             appendNewline(out, indent, depth + 1);
-            appendEscaped(out, members[i].first);
+            appendString(out, members[i].first);
             out += indent > 0 ? ": " : ":";
             members[i].second.dumpTo(out, indent, depth + 1);
         }
@@ -295,7 +327,7 @@ Json::dumpWithRaw(std::string_view key, std::string_view rawJson) const
     out.pop_back();  // reopen the object: drop its closing '}'
     if (size() != 0)
         out += ',';
-    appendEscaped(out, key);
+    appendString(out, key);
     out += ':';
     out.append(rawJson);
     out += '}';

@@ -47,6 +47,10 @@ class Json
         String,
         Array,
         Object,
+        /** Compact JSON text encoded earlier (Json::raw), dumped
+         *  verbatim; opaque to every accessor. Parsing never makes
+         *  one. */
+        Raw,
     };
 
     Json() = default;
@@ -84,6 +88,13 @@ class Json
 
     static Json array();
     static Json object();
+    /**
+     * A value that dumps as @p compactJson verbatim: JSON written
+     * earlier by a direct encoder (serve::wire's job writer), carried
+     * inside a tree without being parsed or encoded again. The text is
+     * spliced as is at any dump indent.
+     */
+    static Json raw(std::string compactJson);
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
@@ -153,6 +164,21 @@ class Json
     static bool parse(std::string_view text, Json *out,
                       std::string *error = nullptr);
 
+    /// @name Direct writing
+    /// The bytes dump() gives a value of each kind, for encoders that
+    /// write a fixed-shape document straight to text instead of
+    /// building a tree (serve::wire's job writer). dump() formats
+    /// through these, so the two cannot drift apart.
+    /// @{
+    /** @p text as a quoted JSON string, escaped as dump() escapes. */
+    static void appendString(std::string &out, std::string_view text);
+    static void appendInt(std::string &out, int64_t value);
+    static void appendUInt(std::string &out, uint64_t value);
+    /** Json(value).dump() (@p exact false) or exactDouble(value).dump()
+     *  (@p exact true); "null" when @p value is not finite. */
+    static void appendDouble(std::string &out, double value, bool exact);
+    /// @}
+
     /** Maximum container nesting parse() accepts. */
     static constexpr int maxParseDepth = 256;
 
@@ -176,7 +202,8 @@ class Json
         int64_t int_ = 0;
         double double_;
     };
-    /** The text, items or members of a String, Array or Object. */
+    /** The text, items or members of a String, Raw, Array or
+     *  Object. */
     std::variant<std::monostate, std::string, std::vector<Json>, Members>
         value_;
 };

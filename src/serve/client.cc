@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "serve/wire.h"
 
@@ -47,11 +48,18 @@ bool
 Client::call(const harness::Json &request, harness::Json &reply,
              std::string &error)
 {
+    return callLine(request.dump(), reply, error);
+}
+
+bool
+Client::callLine(std::string line, harness::Json &reply,
+                 std::string &error)
+{
     if (!channel_) {
         error = "not connected";
         return false;
     }
-    if (!channel_->writeJson(request)) {
+    if (!channel_->writeLine(std::move(line))) {
         error = "write failed (daemon gone?)";
         channel_.reset();  // transport is dead; signal via !connected()
         return false;
@@ -103,12 +111,19 @@ Client::submit(const std::string &label,
     request.set("label", label);
     if (priority != 0)
         request.set("priority", priority);
-    harness::Json encoded = harness::Json::array();
-    for (const harness::Job &job : jobs)
-        encoded.push(encodeJob(job));
-    request.set("jobs", std::move(encoded));
+    // request.set("jobs", [...]).dump() written straight to bytes: the
+    // head reopened, then each job by the wire writer.
+    std::string line = request.dump();
+    line.back() = ',';
+    line += "\"jobs\":[";
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        if (i)
+            line += ',';
+        appendJobJson(line, jobs[i]);
+    }
+    line += "]}";
     harness::Json reply;
-    if (!call(request, reply, error))
+    if (!callLine(std::move(line), reply, error))
         return false;
     if (!replyOk(reply, error)) {
         if (reject) {

@@ -110,6 +110,11 @@ class Client
     LineChannel *channel() { return channel_.get(); }
 
   private:
+    /** call() with the request already written as one compact JSON
+     *  @p line. */
+    bool callLine(std::string line, harness::Json &reply,
+                  std::string &error);
+
     std::unique_ptr<LineChannel> channel_;
     std::string socketPath_;  ///< remembered for reconnect()
 };

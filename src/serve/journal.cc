@@ -52,23 +52,26 @@ std::string
 sweepBeginPayload(const std::string &id, const std::string &label,
                   int priority, const std::vector<std::string> &jobDumps)
 {
-    size_t bytes = 2;
-    for (const std::string &dump : jobDumps)
-        bytes += dump.size() + 1;
-    std::string jobs;
-    jobs.reserve(bytes);
-    jobs += '[';
-    for (size_t i = 0; i < jobDumps.size(); ++i) {
-        if (i)
-            jobs += ',';
-        jobs += jobDumps[i];
-    }
-    jobs += ']';
     harness::Json head = harness::Json::object();
     head.set("id", id);
     head.set("label", label);
     head.set("priority", int64_t(priority));
-    return head.dumpWithRaw("jobs", jobs);
+    // head.set("jobs", <the dumps as an array>).dump(), framed in
+    // place: the head reopened, then each dump copied once.
+    std::string payload = head.dump();
+    size_t bytes = payload.size() + 10;
+    for (const std::string &dump : jobDumps)
+        bytes += dump.size() + 1;
+    payload.reserve(bytes);
+    payload.back() = ',';
+    payload += "\"jobs\":[";
+    for (size_t i = 0; i < jobDumps.size(); ++i) {
+        if (i)
+            payload += ',';
+        payload += jobDumps[i];
+    }
+    payload += "]}";
+    return payload;
 }
 
 std::string

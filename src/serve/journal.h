@@ -122,7 +122,7 @@ struct JournalRecord
 
 /// @name Record payloads (compact JSON, see the file comment)
 /// @{
-/** kSweepBegin; @p jobDumps are each job's encodeJob(job).dump(). */
+/** kSweepBegin; @p jobDumps are each job's appendJobJson bytes. */
 std::string sweepBeginPayload(const std::string &id,
                               const std::string &label, int priority,
                               const std::vector<std::string> &jobDumps);

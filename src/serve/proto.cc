@@ -148,17 +148,16 @@ LineChannel::readLine(std::string &line)
 }
 
 bool
-LineChannel::writeLine(const std::string &line)
+LineChannel::writeLine(std::string line)
 {
     if (fd_ < 0)
         return false;
-    std::string framed = line;
-    framed.push_back('\n');
+    line.push_back('\n');
     size_t sent = 0;
-    while (sent < framed.size()) {
+    while (sent < line.size()) {
         // MSG_NOSIGNAL: a peer that hung up turns into an EPIPE error
         // return instead of killing the whole daemon with SIGPIPE.
-        ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent,
+        ssize_t n = ::send(fd_, line.data() + sent, line.size() - sent,
                            MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)

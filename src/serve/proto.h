@@ -127,8 +127,9 @@ class LineChannel
      *  exceeded the max_line bound. */
     bool lineTooLong() const { return lineTooLong_; }
 
-    /** Write @p line plus '\n'. False on a write error. */
-    bool writeLine(const std::string &line);
+    /** Write @p line plus '\n'. False on a write error. Taken by
+     *  value: a caller that moves its line in is not copied. */
+    bool writeLine(std::string line);
 
     /** Serialize @p message compactly and write it as one line. */
     bool writeJson(const harness::Json &message);

@@ -487,7 +487,7 @@ Server::decodeSweepJobs(const harness::Json &jobs, Sweep &sweep,
         // The canonical re-encoding of the *decoded* job, so any
         // client JSON that means the same job derives the same key and
         // the same sweep id.
-        dumps.push_back(encodeJob(entry.job).dump());
+        appendJobJson(dumps.emplace_back(), entry.job);
         entry.key = jobContentKeyFromDump(dumps.back());
         entry.cancel = std::make_shared<std::atomic<bool>>(false);
         sweep.jobs.push_back(std::move(entry));
@@ -930,6 +930,7 @@ Server::recoverFromJournal(std::string &error)
     // Single-threaded (no dispatchers, no accept loop yet), so the
     // replay can build sweep state without locks — they are taken
     // anyway for uniformity with the running daemon.
+    const bool fresh = journal_.stats().sizeBytes == 0;
     std::map<std::string, std::shared_ptr<Sweep>> live;
     bool ok = journal_.replay(
         [&](uint32_t type, const harness::Json &payload) {
@@ -1048,8 +1049,12 @@ Server::recoverFromJournal(std::string &error)
                      static_cast<unsigned long long>(requeued_total));
 
     // Checkpoint what we just rebuilt: the journal restarts from the
-    // compacted live set instead of re-growing the whole history.
-    maybeCompactJournal(true);
+    // compacted live set instead of re-growing the whole history. An
+    // empty file (a fresh cache dir) has no history, so its checkpoint
+    // would only write, fsync and rename an empty file; any bytes at
+    // all, a torn tail included, still compact.
+    if (!fresh)
+        maybeCompactJournal(true);
     return true;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <type_traits>
 
 #include "harness/artifact_cache.h"
 #include "profile/profile.h"
@@ -107,14 +108,52 @@ getEnum(const Json &json, const char *key, E last, E &out)
 }
 /// @}
 
-Json
-encodeCacheConfig(const cache::CacheConfig &config)
+/// @name Direct writing
+/// Each put() appends @p prefix, literal punctuation plus an already
+/// escaped member key, then the value in harness::Json's formatting.
+/// @{
+void
+put(std::string &out, std::string_view prefix, bool value)
 {
-    Json json = Json::object();
-    json.set("size", config.sizeBytes);
-    json.set("line", config.lineBytes);
-    json.set("assoc", config.assoc);
-    return json;
+    out += prefix;
+    out += value ? "true" : "false";
+}
+
+template <typename Int>
+    requires std::is_integral_v<Int>
+void
+put(std::string &out, std::string_view prefix, Int value)
+{
+    out += prefix;
+    if constexpr (std::is_signed_v<Int>)
+        Json::appendInt(out, value);
+    else
+        Json::appendUInt(out, value);
+}
+
+/** A double as Json::exactDouble dumps it. */
+void
+putExact(std::string &out, std::string_view prefix, double value)
+{
+    out += prefix;
+    Json::appendDouble(out, value, true);
+}
+
+void
+put(std::string &out, std::string_view prefix, std::string_view text)
+{
+    out += prefix;
+    Json::appendString(out, text);
+}
+/// @}
+
+void
+appendCacheConfig(std::string &out, const cache::CacheConfig &config)
+{
+    put(out, "{\"size\":", config.sizeBytes);
+    put(out, ",\"line\":", config.lineBytes);
+    put(out, ",\"assoc\":", config.assoc);
+    out += '}';
 }
 
 bool
@@ -125,38 +164,39 @@ decodeCacheConfig(const Json &json, cache::CacheConfig &config)
            getUnsigned(json, "assoc", config.assoc);
 }
 
-Json
-encodeCpuConfig(const cpu::CpuConfig &config)
+void
+appendCpuConfig(std::string &out, const cpu::CpuConfig &config)
 {
-    Json json = Json::object();
-    json.set("icache", encodeCacheConfig(config.icache));
-    json.set("dcache", encodeCacheConfig(config.dcache));
-    json.set("predEntries", config.predictorEntries);
-    json.set("predKind", static_cast<unsigned>(config.predictorKind));
-    json.set("mispredict", config.mispredictPenalty);
-    json.set("redirect", config.redirectPenalty);
-    json.set("excEntry", config.exceptionEntryPenalty);
-    json.set("excReturn", config.exceptionReturnPenalty);
-    json.set("secondRegFile", config.secondRegFile);
-    json.set("handlerDataUncached", config.handlerDataUncached);
-    json.set("predecode", config.predecode);
-    json.set("blockExec", config.blockExec);
-    json.set("superblockExec", config.superblockExec);
-    json.set("verify", config.verifyDecompression);
-    json.set("memFirst", config.memTiming.firstAccessCycles);
-    json.set("memBurst", config.memTiming.burstRateCycles);
-    json.set("memBus", config.memTiming.busBytes);
-    json.set("maxUserInsns", config.maxUserInsns);
-    json.set("traceInsns", config.traceInsns);
-    json.set("mcRetryLimit", config.mcRetryLimit);
-    json.set("handlerBudget", config.handlerInsnBudget);
-    json.set("l2Enabled", config.l2.enabled);
-    json.set("l2Size", config.l2.sizeBytes);
-    json.set("l2Line", config.l2.lineBytes);
-    json.set("l2Assoc", config.l2.assoc);
-    json.set("l2Hit", config.l2.hitCycles);
-    json.set("l2Decomp", config.l2.decompressCycles);
-    return json;
+    out += "{\"icache\":";
+    appendCacheConfig(out, config.icache);
+    out += ",\"dcache\":";
+    appendCacheConfig(out, config.dcache);
+    put(out, ",\"predEntries\":", config.predictorEntries);
+    put(out, ",\"predKind\":", static_cast<unsigned>(config.predictorKind));
+    put(out, ",\"mispredict\":", config.mispredictPenalty);
+    put(out, ",\"redirect\":", config.redirectPenalty);
+    put(out, ",\"excEntry\":", config.exceptionEntryPenalty);
+    put(out, ",\"excReturn\":", config.exceptionReturnPenalty);
+    put(out, ",\"secondRegFile\":", config.secondRegFile);
+    put(out, ",\"handlerDataUncached\":", config.handlerDataUncached);
+    put(out, ",\"predecode\":", config.predecode);
+    put(out, ",\"blockExec\":", config.blockExec);
+    put(out, ",\"superblockExec\":", config.superblockExec);
+    put(out, ",\"verify\":", config.verifyDecompression);
+    put(out, ",\"memFirst\":", config.memTiming.firstAccessCycles);
+    put(out, ",\"memBurst\":", config.memTiming.burstRateCycles);
+    put(out, ",\"memBus\":", config.memTiming.busBytes);
+    put(out, ",\"maxUserInsns\":", config.maxUserInsns);
+    put(out, ",\"traceInsns\":", config.traceInsns);
+    put(out, ",\"mcRetryLimit\":", config.mcRetryLimit);
+    put(out, ",\"handlerBudget\":", config.handlerInsnBudget);
+    put(out, ",\"l2Enabled\":", config.l2.enabled);
+    put(out, ",\"l2Size\":", config.l2.sizeBytes);
+    put(out, ",\"l2Line\":", config.l2.lineBytes);
+    put(out, ",\"l2Assoc\":", config.l2.assoc);
+    put(out, ",\"l2Hit\":", config.l2.hitCycles);
+    put(out, ",\"l2Decomp\":", config.l2.decompressCycles);
+    out += '}';
 }
 
 bool
@@ -204,27 +244,26 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
 
 } // namespace
 
-Json
-encodeWorkload(const workload::WorkloadSpec &spec)
+void
+appendWorkloadJson(std::string &out, const workload::WorkloadSpec &spec)
 {
-    Json json = Json::object();
-    json.set("name", spec.name);
-    json.set("seed", spec.seed);
-    json.set("text", spec.targetTextBytes);
-    json.set("hotProcs", spec.hotProcs);
-    json.set("coldProcs", spec.coldProcs);
-    json.set("hotFrac", Json::exactDouble(spec.hotTextFraction));
-    json.set("uniq", Json::exactDouble(spec.uniqueFraction));
-    json.set("reuse", Json::exactDouble(spec.reuseSkew));
-    json.set("br", Json::exactDouble(spec.branchDensity));
-    json.set("mem", Json::exactDouble(spec.memDensity));
-    json.set("dyn", spec.targetDynamicInsns);
-    json.set("iters", spec.hotLoopIters);
-    json.set("calls", spec.coldCallsPerIter);
-    json.set("zipf", Json::exactDouble(spec.coldZipfTheta));
-    json.set("burst", spec.coldBurst);
-    json.set("dataB", spec.dataBytesPerProc);
-    return json;
+    put(out, "{\"name\":", spec.name);
+    put(out, ",\"seed\":", spec.seed);
+    put(out, ",\"text\":", spec.targetTextBytes);
+    put(out, ",\"hotProcs\":", spec.hotProcs);
+    put(out, ",\"coldProcs\":", spec.coldProcs);
+    putExact(out, ",\"hotFrac\":", spec.hotTextFraction);
+    putExact(out, ",\"uniq\":", spec.uniqueFraction);
+    putExact(out, ",\"reuse\":", spec.reuseSkew);
+    putExact(out, ",\"br\":", spec.branchDensity);
+    putExact(out, ",\"mem\":", spec.memDensity);
+    put(out, ",\"dyn\":", spec.targetDynamicInsns);
+    put(out, ",\"iters\":", spec.hotLoopIters);
+    put(out, ",\"calls\":", spec.coldCallsPerIter);
+    putExact(out, ",\"zipf\":", spec.coldZipfTheta);
+    put(out, ",\"burst\":", spec.coldBurst);
+    put(out, ",\"dataB\":", spec.dataBytesPerProc);
+    out += '}';
 }
 
 bool
@@ -248,47 +287,43 @@ decodeWorkload(const harness::Json &json, workload::WorkloadSpec &spec)
            getU32(json, "dataB", spec.dataBytesPerProc);
 }
 
-Json
-encodeConfig(const core::SystemConfig &config)
+void
+appendConfigJson(std::string &out, const core::SystemConfig &config)
 {
-    Json json = Json::object();
-    json.set("cpu", encodeCpuConfig(config.cpu));
-    json.set("scheme", static_cast<unsigned>(config.scheme));
-    json.set("secondRegFile", config.secondRegFile);
+    out += "{\"cpu\":";
+    appendCpuConfig(out, config.cpu);
+    put(out, ",\"scheme\":", static_cast<unsigned>(config.scheme));
+    put(out, ",\"secondRegFile\":", config.secondRegFile);
     // Region assignment as the same compact 'N'/'C' string the
     // ArtifactCache image key uses.
-    std::string regions;
-    regions.reserve(config.regions.size());
+    out += ",\"regions\":\"";
     for (prog::Region region : config.regions)
-        regions += region == prog::Region::Native ? 'N' : 'C';
-    json.set("regions", regions);
-    Json order = Json::array();
-    for (int32_t index : config.order)
-        order.push(index);
-    json.set("order", std::move(order));
-    json.set("dataCompression",
-             static_cast<unsigned>(config.dataCompression));
-    json.set("dmemScheme", static_cast<unsigned>(config.dmem.scheme));
-    json.set("dmemPage", config.dmem.pageBytes);
-    json.set("dmemStaging", config.dmem.stagingPages);
-    json.set("profiling", config.profiling);
-    json.set("pcCapacity", config.procCache.capacityBytes);
-    json.set("pcDispatch", config.procCache.dispatchCycles);
-    json.set("integrity", config.integrity);
-    Json plans = Json::array();
-    for (const fault::FaultPlan &plan : config.fault.plans) {
-        Json planJson = Json::object();
-        planJson.set("seed", plan.seed);
-        planJson.set("site", static_cast<unsigned>(plan.site));
-        planJson.set("count", plan.count);
-        plans.push(std::move(planJson));
+        out += region == prog::Region::Native ? 'N' : 'C';
+    out += "\",\"order\":[";
+    for (size_t i = 0; i < config.order.size(); ++i)
+        put(out, i ? "," : "", config.order[i]);
+    put(out, "],\"dataCompression\":",
+        static_cast<unsigned>(config.dataCompression));
+    put(out, ",\"dmemScheme\":", static_cast<unsigned>(config.dmem.scheme));
+    put(out, ",\"dmemPage\":", config.dmem.pageBytes);
+    put(out, ",\"dmemStaging\":", config.dmem.stagingPages);
+    put(out, ",\"profiling\":", config.profiling);
+    put(out, ",\"pcCapacity\":", config.procCache.capacityBytes);
+    put(out, ",\"pcDispatch\":", config.procCache.dispatchCycles);
+    put(out, ",\"integrity\":", config.integrity);
+    out += ",\"fault\":[";
+    for (size_t i = 0; i < config.fault.plans.size(); ++i) {
+        const fault::FaultPlan &plan = config.fault.plans[i];
+        put(out, i ? ",{\"seed\":" : "{\"seed\":", plan.seed);
+        put(out, ",\"site\":", static_cast<unsigned>(plan.site));
+        put(out, ",\"count\":", plan.count);
+        out += '}';
     }
-    json.set("fault", std::move(plans));
-    json.set("obsEnabled", config.observe.enabled);
-    json.set("obsTrace", config.observe.trace);
-    json.set("obsTraceCap", uint64_t(config.observe.traceCapacity));
-    json.set("obsHeatmap", config.observe.heatmap);
-    return json;
+    put(out, "],\"obsEnabled\":", config.observe.enabled);
+    put(out, ",\"obsTrace\":", config.observe.trace);
+    put(out, ",\"obsTraceCap\":", uint64_t(config.observe.traceCapacity));
+    put(out, ",\"obsHeatmap\":", config.observe.heatmap);
+    out += '}';
 }
 
 bool
@@ -362,17 +397,26 @@ decodeConfig(const harness::Json &json, core::SystemConfig &config)
     return true;
 }
 
+void
+appendJobJson(std::string &out, const harness::Job &job)
+{
+    put(out, "{\"tag\":", job.tag);
+    out += ",\"workload\":";
+    appendWorkloadJson(out, job.workload);
+    out += ",\"config\":";
+    appendConfigJson(out, job.config);
+    putExact(out, ",\"timeout\":", job.timeoutSeconds);
+    put(out, ",\"maxAttempts\":", job.maxAttempts);
+    putExact(out, ",\"backoff\":", job.backoffSeconds);
+    out += '}';
+}
+
 Json
 encodeJob(const harness::Job &job)
 {
-    Json json = Json::object();
-    json.set("tag", job.tag);
-    json.set("workload", encodeWorkload(job.workload));
-    json.set("config", encodeConfig(job.config));
-    json.set("timeout", Json::exactDouble(job.timeoutSeconds));
-    json.set("maxAttempts", job.maxAttempts);
-    json.set("backoff", Json::exactDouble(job.backoffSeconds));
-    return json;
+    std::string text;
+    appendJobJson(text, job);
+    return Json::raw(std::move(text));
 }
 
 bool
@@ -636,13 +680,18 @@ decodeJobResult(const harness::Json &json, harness::JobResult &result)
 std::string
 jobContentKey(const harness::Job &job)
 {
-    return jobContentKeyFromDump(encodeJob(job).dump());
+    std::string key = "{\"workload\":";
+    appendWorkloadJson(key, job.workload);
+    key += ",\"config\":";
+    appendConfigJson(key, job.config);
+    key += '}';
+    return key;
 }
 
 std::string
 jobContentKeyFromDump(std::string_view jobDump)
 {
-    // encodeJob's members run tag, workload, config, timeout, ... and
+    // appendJobJson's members run tag, workload, config, timeout, ... and
     // every '"' inside a dumped string is escaped, so `,"` only ever
     // opens a member key: the first `,"workload":` follows the tag and
     // the last `,"timeout":` follows the config, at any nesting the
@@ -651,7 +700,7 @@ jobContentKeyFromDump(std::string_view jobDump)
     size_t end = jobDump.rfind(",\"timeout\":");
     RTDC_ASSERT(begin != std::string_view::npos &&
                     end != std::string_view::npos && begin < end,
-                "not a dumped encodeJob value");
+                "not a job written by appendJobJson");
     std::string key;
     key.reserve(end - begin + 1);
     key += '{';
@@ -675,19 +724,14 @@ std::string
 sweepContentId(const std::string &label,
                const std::vector<std::string> &jobDumps)
 {
-    // One canonical byte string: label, then each job's compact dump,
-    // '\n'-separated (the dumps contain no raw newlines).
-    size_t bytes = label.size();
-    for (const std::string &dump : jobDumps)
-        bytes += 1 + dump.size();
-    std::string canon;
-    canon.reserve(bytes);
-    canon = label;
+    // The hash of one canonical byte string, label then each job's
+    // compact dump, '\n'-separated (the dumps contain no raw newlines),
+    // taken piecewise instead of over a concatenated copy.
+    uint64_t hash = harness::stableHash64(label);
     for (const std::string &dump : jobDumps) {
-        canon.push_back('\n');
-        canon += dump;
+        hash = harness::stableHash64("\n", hash);
+        hash = harness::stableHash64(dump, hash);
     }
-    uint64_t hash = harness::stableHash64(canon);
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",
                   static_cast<unsigned long long>(hash));

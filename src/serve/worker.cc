@@ -338,8 +338,9 @@ WorkerFleet::runOnSlot(Slot &slot, const harness::Job &job,
 {
     harness::Json request = harness::Json::object();
     request.set("op", "job");
-    request.set("job", encodeJob(job));
-    if (!slot.channel->writeJson(request))
+    std::string job_json;
+    appendJobJson(job_json, job);
+    if (!slot.channel->writeLine(request.dumpWithRaw("job", job_json)))
         return RunOutcome::Crashed;
 
     // Wait for the reply, relaying the first cancel edge as SIGUSR1.

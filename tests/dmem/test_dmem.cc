@@ -445,7 +445,10 @@ TEST(DmemWireTest, ConfigFieldsSurviveJsonRoundTrip)
     config.dmem.stagingPages = 3;
     config.cpu.l2.enabled = true;
     config.cpu.l2.decompressCycles = 21;
-    harness::Json json = serve::encodeConfig(config);
+    std::string text;
+    serve::appendConfigJson(text, config);
+    harness::Json json;
+    ASSERT_TRUE(harness::Json::parse(text, &json));
     core::SystemConfig out;
     ASSERT_TRUE(serve::decodeConfig(json, out));
     EXPECT_EQ(out.dataCompression, DataCompression::Both);

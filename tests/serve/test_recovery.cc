@@ -8,7 +8,8 @@
  * the client's resubmit attach to the recovered sweep. Also here: the
  * socket lock that keeps a second daemon off a live socket, the
  * request-line length bound, the EINTR-resilience of the stream under
- * a signal storm, and journal compaction under warm-only traffic.
+ * a signal storm, and journal compaction under warm-only traffic and
+ * at start-up.
  */
 
 #include <gtest/gtest.h>
@@ -490,6 +491,51 @@ TEST(WarmJournal, AllCachedResubmitsKeepTheJournalBounded)
                    local);
     EXPECT_EQ(cached, jobs.size());
     server.stop();
+}
+
+TEST(JournalCheckpoint, FreshDirSkipsItAndAnyJournalBytesCompact)
+{
+    // Recovery checkpoints the journal it replayed. An empty journal
+    // has nothing to checkpoint, so a fresh cache dir starts without
+    // the temp-file write, fsync and rename; a journal with any bytes,
+    // a torn tail alone included, still compacts.
+    auto startAndCount = [](const std::string &dir, int64_t &torn) {
+        serve::ServerConfig config;
+        config.socketPath = dir + "/d.sock";
+        config.cacheDir = dir + "/cache";
+        config.workers = 1;
+        serve::Server server(config);
+        std::string error;
+        EXPECT_TRUE(server.start(error)) << error;
+        Json stats = serverStats(config.socketPath);
+        const Json *journal = stats.find("journal");
+        EXPECT_NE(journal, nullptr);
+        int64_t compactions =
+            journal ? statNum(*journal, "compactions") : -1;
+        torn = journal ? statNum(*journal, "torn_bytes") : -1;
+        server.stop();
+        return compactions;
+    };
+    int64_t torn = 0;
+    const std::string fresh = tempDir();
+    EXPECT_EQ(startAndCount(fresh, torn), 0);
+    // The clean stop left an empty journal: still nothing to compact.
+    EXPECT_EQ(startAndCount(fresh, torn), 0);
+
+    const std::string planted = tempDir();
+    std::vector<Job> jobs = tinyJobs(6000, 2);
+    plantJournal(planted + "/cache", "planted", jobs,
+                 localReference(jobs), jobs.size());
+    EXPECT_EQ(startAndCount(planted, torn), 1);
+
+    const std::string garbage = tempDir();
+    ::mkdir((garbage + "/cache").c_str(), 0775);
+    FILE *file = std::fopen((garbage + "/cache/journal.rtdj").c_str(), "w");
+    ASSERT_NE(file, nullptr);
+    std::fputs("not a record", file);
+    std::fclose(file);
+    EXPECT_EQ(startAndCount(garbage, torn), 1);
+    EXPECT_EQ(torn, 12);
 }
 
 TEST(RecoveryLineLimit, OverlongRequestLineGetsStructuredErrorAndClose)

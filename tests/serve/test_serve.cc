@@ -37,10 +37,14 @@
 #include "serve/wire.h"
 #include "workload/benchmarks.h"
 
+#include "json_built.h"
+
 using namespace rtd;
 using harness::Job;
 using harness::JobResult;
 using harness::Json;
+using reference::jsonBuiltKey;
+using reference::jsonBuiltWorkload;
 
 namespace {
 
@@ -316,22 +320,23 @@ TEST(Wire, SeedsAcrossTheFullUInt64RangeRoundTrip)
         ASSERT_EQ(decoded.config.fault.plans.size(), 1u);
         EXPECT_EQ(decoded.config.fault.plans[0].seed, seed);
         EXPECT_EQ(serve::jobContentKey(decoded), serve::jobContentKey(job));
-        EXPECT_NE(serve::encodeWorkload(job.workload)
-                      .dump()
-                      .find("\"seed\":" + std::to_string(seed) + ","),
+        std::string text;
+        serve::appendWorkloadJson(text, job.workload);
+        EXPECT_NE(text.find("\"seed\":" + std::to_string(seed) + ","),
                   std::string::npos);
     }
     // Below 2^63 the bytes are the int64 ones they always were.
     workload::WorkloadSpec spec = workload::tinySpec(5);
     spec.seed = 9223372036854775807ull;
-    EXPECT_NE(serve::encodeWorkload(spec).dump().find(
-                  "\"seed\":9223372036854775807,"),
+    std::string text;
+    serve::appendWorkloadJson(text, spec);
+    EXPECT_NE(text.find("\"seed\":9223372036854775807,"),
               std::string::npos);
 }
 
 TEST(Wire, NegativeIntegersAreRejectedNotWrapped)
 {
-    Json workload = serve::encodeWorkload(workload::tinySpec(5));
+    Json workload = jsonBuiltWorkload(workload::tinySpec(5));
     workload.set("seed", int64_t{-1});
     workload::WorkloadSpec spec;
     EXPECT_FALSE(serve::decodeWorkload(workload, spec));
@@ -347,17 +352,6 @@ TEST(Wire, NegativeIntegersAreRejectedNotWrapped)
 // ---------------------------------------------------------------------
 
 namespace {
-
-/** The content key built as one harness::Json: the reference the key
- *  sliced from a job dump must equal. */
-std::string
-jsonBuiltKey(const Job &job)
-{
-    Json key = Json::object();
-    key.set("workload", serve::encodeWorkload(job.workload));
-    key.set("config", serve::encodeConfig(job.config));
-    return key.dump();
-}
 
 std::string
 hex64(uint64_t value)

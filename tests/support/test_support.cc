@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "support/bitops.h"
+#include "support/crc32.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -126,6 +130,69 @@ TEST(Table, Formatting)
     EXPECT_EQ(fmtPercent(65.43, 1), "65.4%");
     EXPECT_EQ(fmtCount(1083168), "1,083,168");
     EXPECT_EQ(fmtCount(42), "42");
+}
+
+/** The reference: the bytewise table, one update per byte. */
+uint32_t
+bytewiseCrc32(const uint8_t *data, size_t size)
+{
+    Crc32 crc;
+    for (size_t i = 0; i < size; ++i)
+        crc.update(data[i]);
+    return crc.value();
+}
+
+TEST(Crc32, CheckValue)
+{
+    const char text[] = "123456789";
+    const auto *bytes = reinterpret_cast<const uint8_t *>(text);
+    EXPECT_EQ(crc32(bytes, 9), 0xCBF43926u);
+    EXPECT_EQ(bytewiseCrc32(bytes, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(bytes, 0), 0u);
+}
+
+TEST(Crc32, BulkPathEqualsTheBytewiseTable)
+{
+    // Lengths up to 70 KB at every start offset mod 8, so each run
+    // covers the slicing loop's misaligned starts and every tail
+    // length.
+    std::mt19937_64 rng(0x5eedc3c32ull);
+    std::vector<uint8_t> buffer((70u << 10) + 8);
+    for (uint8_t &byte : buffer)
+        byte = static_cast<uint8_t>(rng());
+    std::vector<size_t> lengths = {0, 1, 7, 8, 9, 15, 16, 17, 63, 64,
+                                   65, 70u << 10};
+    for (int i = 0; i < 200; ++i)
+        lengths.push_back(rng() % ((70u << 10) + 1));
+    for (size_t length : lengths) {
+        for (size_t offset = 0; offset < 8; ++offset) {
+            const uint8_t *data = buffer.data() + offset;
+            ASSERT_EQ(crc32(data, length), bytewiseCrc32(data, length))
+                << "length " << length << " offset " << offset;
+        }
+    }
+}
+
+TEST(Crc32, IncrementalUpdatesSplitAnywhereAgree)
+{
+    std::vector<uint8_t> buffer(4099);
+    for (size_t i = 0; i < buffer.size(); ++i)
+        buffer[i] = static_cast<uint8_t>(i * 131 + 7);
+    const uint32_t whole = bytewiseCrc32(buffer.data(), buffer.size());
+    // A bulk run, one bytewise byte, then a bulk run to the end.
+    for (size_t cut : {0, 1, 5, 8, 13, 2048, 4098}) {
+        Crc32 crc;
+        crc.update(buffer.data(), cut);
+        crc.update(buffer[cut]);
+        crc.update(buffer.data() + cut + 1, buffer.size() - cut - 1);
+        EXPECT_EQ(crc.value(), whole) << "cut " << cut;
+    }
+    // Words feed as their little-endian bytes.
+    Crc32 words;
+    words.updateWord(0x34333231u);  // "1234"
+    words.updateWord(0x38373635u);  // "5678"
+    words.update(static_cast<uint8_t>('9'));
+    EXPECT_EQ(words.value(), 0xCBF43926u);
 }
 
 } // namespace
