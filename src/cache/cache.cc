@@ -27,13 +27,12 @@ Cache::Cache(std::string name, CacheConfig config)
     config_.check();
     lines_.resize(static_cast<size_t>(config_.numSets()) * config_.assoc);
     data_.resize(static_cast<size_t>(config_.sizeBytes));
-    frameGen_.resize(lines_.size());
 }
 
 unsigned
 Cache::victimWay(uint32_t set) const
 {
-    const Line *base = &lines_[static_cast<size_t>(set) * config_.assoc];
+    const Line *base = &lines_[frameIndex(set, 0)];
     unsigned victim = 0;
     uint64_t oldest = UINT64_MAX;
     for (unsigned w = 0; w < config_.assoc; ++w) {
@@ -58,8 +57,9 @@ Cache::enablePredecode()
 {
     RTDC_ASSERT((config_.lineBytes & 3) == 0,
                 "%s: predecode needs word-multiple lines", name_.c_str());
-    decoded_.resize(static_cast<size_t>(config_.numSets()) *
-                    config_.assoc * lineWords());
+    decoded_.resize(lines_.size() * lineWords());
+    meta_.resize(decoded_.size());
+    stale_.assign(lines_.size(), 1);
     memo_ = std::make_unique<isa::PredecodeMemo>();
 }
 
@@ -80,7 +80,7 @@ Cache::redecodeWord(uint32_t set, unsigned way, uint32_t addr)
     uint32_t offset = addr & (config_.lineBytes - 1) & ~3u;
     uint32_t word;
     std::memcpy(&word, lineData(set, way) + offset, 4);
-    lineDecoded(set, way)[offset / 4] = memo_->lookup(word);
+    writeDecoded(set, way)[offset / 4] = memo_->lookup(word);
 }
 
 unsigned
@@ -88,7 +88,7 @@ Cache::allocate(uint32_t line_addr, Eviction &evicted)
 {
     uint32_t set = setIndex(line_addr);
     unsigned way = victimWay(set);
-    Line &line = lines_[static_cast<size_t>(set) * config_.assoc + way];
+    Line &line = lines_[frameIndex(set, way)];
     if (line.valid) {
         evicted.valid = true;
         evicted.dirty = line.dirty;
@@ -101,9 +101,6 @@ Cache::allocate(uint32_t line_addr, Eviction &evicted)
     line.dirty = false;
     line.tag = tagOf(line_addr);
     line.lastUse = ++useClock_;
-    // The frame now holds a different line (or fresh bytes for the same
-    // one): any block built against its old generation is stale.
-    bumpGen(set, way);
     return way;
 }
 
@@ -119,13 +116,11 @@ Cache::fillLine(uint32_t addr, const uint8_t *src, uint8_t *writeback_buf)
     unsigned way;
     if (existing >= 0) {
         way = static_cast<unsigned>(existing);
-        bumpGen(set, way);  // in-place refill rewrites the line's bytes
     } else {
         // Capture the victim's data before it is overwritten so a dirty
         // line can be written back.
         unsigned victim = victimWay(set);
-        const Line &vline =
-            lines_[static_cast<size_t>(set) * config_.assoc + victim];
+        const Line &vline = lines_[frameIndex(set, victim)];
         if (vline.valid && vline.dirty && writeback_buf) {
             std::memcpy(writeback_buf, lineData(set, victim),
                         config_.lineBytes);
@@ -137,14 +132,14 @@ Cache::fillLine(uint32_t addr, const uint8_t *src, uint8_t *writeback_buf)
     if (predecodeEnabled()) {
         // Decode once at fill time: every later fetch of this line reads
         // the decoded mirror instead of re-decoding the word.
-        isa::DecodedInst *dst = lineDecoded(set, way);
+        isa::DecodedInst *dst = writeDecoded(set, way);
         for (uint32_t w = 0; w < lineWords(); ++w) {
             uint32_t word;
             std::memcpy(&word, src + w * 4, 4);
             dst[w] = memo_->lookup(word);
         }
     }
-    Line &line = lines_[static_cast<size_t>(set) * config_.assoc + way];
+    Line &line = lines_[frameIndex(set, way)];
     line.dirty = false;
     line.lastUse = ++useClock_;
     return evicted;
@@ -159,7 +154,7 @@ Cache::swicAllocWrite(uint32_t line_addr, uint32_t addr, uint32_t word)
     uint32_t set = setIndex(line_addr);
     std::memcpy(lineData(set, w) + (addr - line_addr), &word, 4);
     if (predecodeEnabled())
-        lineDecoded(set, w)[(addr - line_addr) / 4] = memo_->lookup(word);
+        writeDecoded(set, w)[(addr - line_addr) / 4] = memo_->lookup(word);
     return evicted;
 }
 
@@ -218,8 +213,7 @@ Cache::write32(uint32_t addr, uint32_t value)
     locate(addr, set, way);
     std::memcpy(lineData(set, way) + (addr & (config_.lineBytes - 1)),
                 &value, 4);
-    lines_[static_cast<size_t>(set) * config_.assoc + way].dirty = true;
-    bumpGen(set, way);
+    lines_[frameIndex(set, way)].dirty = true;
     if (predecodeEnabled())
         redecodeWord(set, way, addr);
 }
@@ -234,8 +228,7 @@ Cache::write16(uint32_t addr, uint16_t value)
     locate(addr, set, way);
     std::memcpy(lineData(set, way) + (addr & (config_.lineBytes - 1)),
                 &value, 2);
-    lines_[static_cast<size_t>(set) * config_.assoc + way].dirty = true;
-    bumpGen(set, way);
+    lines_[frameIndex(set, way)].dirty = true;
     if (predecodeEnabled())
         redecodeWord(set, way, addr);
 }
@@ -247,8 +240,7 @@ Cache::write8(uint32_t addr, uint8_t value)
     unsigned way;
     locate(addr, set, way);
     lineData(set, way)[addr & (config_.lineBytes - 1)] = value;
-    lines_[static_cast<size_t>(set) * config_.assoc + way].dirty = true;
-    bumpGen(set, way);
+    lines_[frameIndex(set, way)].dirty = true;
     if (predecodeEnabled())
         redecodeWord(set, way, addr);
 }
@@ -267,8 +259,6 @@ Cache::flush()
 {
     for (Line &line : lines_)
         line = Line{};
-    for (uint64_t &gen : frameGen_)
-        gen = ++genClock_;
 }
 
 unsigned
@@ -281,9 +271,7 @@ Cache::invalidateRange(uint32_t addr, uint32_t size)
         uint32_t set = setIndex(line_addr);
         int way = findWay(set, tagOf(line_addr));
         if (way >= 0) {
-            lines_[static_cast<size_t>(set) * config_.assoc +
-                   static_cast<unsigned>(way)] = Line{};
-            bumpGen(set, static_cast<unsigned>(way));
+            lines_[frameIndex(set, static_cast<unsigned>(way))] = Line{};
             ++count;
         }
         if (line_addr == last)
@@ -304,15 +292,13 @@ Cache::flushRange(uint32_t addr, uint32_t size,
         uint32_t set = setIndex(line_addr);
         int way = findWay(set, tagOf(line_addr));
         if (way >= 0) {
-            Line &line = lines_[static_cast<size_t>(set) * config_.assoc +
-                                static_cast<unsigned>(way)];
+            Line &line = lines_[frameIndex(set, static_cast<unsigned>(way))];
             if (line.dirty) {
                 writeback(line_addr,
                           lineData(set, static_cast<unsigned>(way)));
                 ++dirty;
             }
             line = Line{};
-            bumpGen(set, static_cast<unsigned>(way));
         }
         if (line_addr == last)
             break;

@@ -11,6 +11,13 @@
  * region can "exist only in the cache" (Figure 3): the decompressor
  * installs reconstructed words with swicWrite() and the CPU subsequently
  * fetches them from the line storage.
+ *
+ * With predecode enabled (the I-cache), each frame also carries a
+ * decoded mirror of its words and, beside it, one isa::BlockMeta per
+ * word for block dispatch. The frame is the one place a line's code can
+ * change, so the cache owns that metadata: every write to a frame's
+ * mirror (fill, swic, the write paths) sets the frame's stale byte, and
+ * the next whole-line fetch rescans the frame before returning it.
  */
 
 #ifndef RTDC_CACHE_CACHE_H
@@ -23,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/blocks.h"
 #include "isa/predecode.h"
 #include "support/logging.h"
 #include "support/stats.h"
@@ -50,12 +58,13 @@ struct Eviction
 
 /**
  * Result of a whole-line fetch probe (the block-dispatch entry point):
- * the present line's decoded mirror and its generation stamp.
+ * the present line's decoded mirror and the block entered at each of
+ * its words, both indexed by word offset from the line base.
  */
 struct FetchLine
 {
     const isa::DecodedInst *decoded = nullptr; ///< line-base decoded entries
-    uint64_t gen = 0;                          ///< frame generation
+    const isa::BlockMeta *meta = nullptr;      ///< line-base block metas
 };
 
 /** Set-associative, true-LRU, data-carrying cache model. */
@@ -167,10 +176,9 @@ class Cache
         }
         ++hits_;
         unsigned w = static_cast<unsigned>(way);
-        Line &line = lines_[static_cast<size_t>(set) * config_.assoc + w];
+        Line &line = lines_[frameIndex(set, w)];
         line.lastUse = ++useClock_;
         line.dirty = true;
-        bumpGen(set, w);
         uint8_t *dst = lineData(set, w) + (addr & (config_.lineBytes - 1));
         switch (bytes) {
           case 1: *dst = static_cast<uint8_t>(value); break;
@@ -217,9 +225,10 @@ class Cache
      * Combined access() + whole-line fetch for block dispatch
      * (enablePredecode() must have been called): one tag lookup
      * validates the line containing @p addr and, on hit, fills @p out
-     * with the line's decoded mirror and generation stamp. Statistics
-     * and LRU update exactly as access() would — the caller credits the
-     * remaining per-instruction hits with creditFetchHits().
+     * with the line's decoded mirror and block metas, rescanning the
+     * metas first when the frame is stale. Statistics and LRU update
+     * exactly as access() would — the caller credits the remaining
+     * per-instruction hits with creditFetchHits().
      * @return true on hit.
      */
     bool
@@ -236,8 +245,7 @@ class Cache
         ++hits_;
         unsigned w = static_cast<unsigned>(way);
         touchLru(set, w);
-        out.decoded = lineDecoded(set, w);
-        out.gen = frameGen_[static_cast<size_t>(set) * config_.assoc + w];
+        fetchFrame(frameIndex(set, w), out);
         return true;
     }
 
@@ -248,13 +256,12 @@ class Cache
      * when the line is absent.
      */
     void
-    peekFetchLine(uint32_t addr, FetchLine &out) const
+    peekFetchLine(uint32_t addr, FetchLine &out)
     {
         uint32_t set;
         unsigned way;
         locate(addr, set, way);
-        out.decoded = lineDecoded(set, way);
-        out.gen = frameGen_[static_cast<size_t>(set) * config_.assoc + way];
+        fetchFrame(frameIndex(set, way), out);
     }
 
     /**
@@ -264,31 +271,15 @@ class Cache
      */
     void creditFetchHits(uint64_t n) { hits_ += n; }
 
-    /**
-     * Generation stamp of the (present) line containing @p addr. Bumped
-     * from a cache-wide monotonic clock whenever the frame's bytes can
-     * change: hardware fill, swic install or overwrite, the write
-     * paths, invalidation, and eviction-by-allocation. Stamps never
-     * repeat across frames, so (line address, generation) identifies
-     * line *content* for the lifetime of the cache.
-     */
-    uint64_t
-    lineGen(uint32_t addr) const
-    {
-        uint32_t set;
-        unsigned way;
-        locate(addr, set, way);
-        return frameGen_[static_cast<size_t>(set) * config_.assoc + way];
-    }
-
     /** Probe without statistics or LRU update. */
     bool probe(uint32_t addr) const;
 
     /**
-     * Allocate the decoded-instruction store: every word installed by
-     * fillLine()/swicWrite()/write32() is additionally predecoded, so
-     * decodedAt() always mirrors the line's data bytes. Call once,
-     * before any line is installed (the I-cache's decode-once path).
+     * Allocate the decoded-instruction store and the block metas beside
+     * it: every word installed by fillLine()/swicWrite()/write32() is
+     * additionally predecoded, so decodedAt() always mirrors the line's
+     * data bytes. Call once, before any line is installed (the
+     * I-cache's decode-once path).
      */
     void enablePredecode();
 
@@ -334,12 +325,11 @@ class Cache
             return swicAllocWrite(line_addr, addr, word);
         unsigned w = static_cast<unsigned>(way);
         touchLru(set, w);
-        bumpGen(set, w);
         std::memcpy(lineData(set, w) + (addr - line_addr), &word, 4);
         if (predecodeEnabled()) {
             // A swic overwrite of a cached word must invalidate its
             // decoded entry; decoding the new word does both at once.
-            lineDecoded(set, w)[(addr - line_addr) / 4] =
+            writeDecoded(set, w)[(addr - line_addr) / 4] =
                 memo_->lookup(word);
         }
         return Eviction{};
@@ -404,8 +394,7 @@ class Cache
     int
     findWay(uint32_t set, uint32_t tag) const
     {
-        const Line *base = &lines_[static_cast<size_t>(set) *
-                                   config_.assoc];
+        const Line *base = &lines_[frameIndex(set, 0)];
         for (unsigned w = 0; w < config_.assoc; ++w) {
             if (base[w].valid && base[w].tag == tag)
                 return static_cast<int>(w);
@@ -416,19 +405,7 @@ class Cache
     void
     touchLru(uint32_t set, unsigned way)
     {
-        lines_[static_cast<size_t>(set) * config_.assoc + way].lastUse =
-            ++useClock_;
-    }
-    /**
-     * Stamp (set, way) with a fresh generation: its bytes changed (or
-     * its frame was reassigned). Stamps come from a cache-wide clock so
-     * they never repeat, not even across frames.
-     */
-    void
-    bumpGen(uint32_t set, unsigned way)
-    {
-        frameGen_[static_cast<size_t>(set) * config_.assoc + way] =
-            ++genClock_;
+        lines_[frameIndex(set, way)].lastUse = ++useClock_;
     }
     /** LRU way of a set (an invalid way wins immediately). */
     unsigned victimWay(uint32_t set) const;
@@ -446,34 +423,47 @@ class Cache
     {
         return addr / config_.lineBytes / config_.numSets();
     }
+    /** Index of frame (set, way) in lines_ and the per-frame stores. */
+    size_t frameIndex(uint32_t set, unsigned way) const
+    {
+        return static_cast<size_t>(set) * config_.assoc + way;
+    }
     uint8_t *lineData(uint32_t set, unsigned way)
     {
-        return data_.data() +
-               (static_cast<size_t>(set) * config_.assoc + way) *
-                   config_.lineBytes;
+        return data_.data() + frameIndex(set, way) * config_.lineBytes;
     }
     const uint8_t *lineData(uint32_t set, unsigned way) const
     {
-        return data_.data() +
-               (static_cast<size_t>(set) * config_.assoc + way) *
-                   config_.lineBytes;
+        return data_.data() + frameIndex(set, way) * config_.lineBytes;
     }
     /** Locate present line for addr; panics when absent. */
     void locate(uint32_t addr, uint32_t &set, unsigned &way) const;
 
     /** Words per line (predecode store stride). */
     uint32_t lineWords() const { return config_.lineBytes / 4; }
-    isa::DecodedInst *lineDecoded(uint32_t set, unsigned way)
-    {
-        return decoded_.data() +
-               (static_cast<size_t>(set) * config_.assoc + way) *
-                   lineWords();
-    }
     const isa::DecodedInst *lineDecoded(uint32_t set, unsigned way) const
     {
-        return decoded_.data() +
-               (static_cast<size_t>(set) * config_.assoc + way) *
-                   lineWords();
+        return decoded_.data() + frameIndex(set, way) * lineWords();
+    }
+    /** The frame's decoded mirror for writing: marks its metas stale. */
+    isa::DecodedInst *writeDecoded(uint32_t set, unsigned way)
+    {
+        size_t frame = frameIndex(set, way);
+        stale_[frame] = 1;
+        return decoded_.data() + frame * lineWords();
+    }
+    /** Fill @p out for @p frame, rescanning its metas when stale. */
+    void
+    fetchFrame(size_t frame, FetchLine &out)
+    {
+        size_t base = frame * lineWords();
+        if (stale_[frame]) [[unlikely]] {
+            isa::scanBlocks(decoded_.data() + base, lineWords(),
+                            meta_.data() + base, /*swic_ends=*/true);
+            stale_[frame] = 0;
+        }
+        out.decoded = decoded_.data() + base;
+        out.meta = meta_.data() + base;
     }
     /** Re-predecode the word containing @p addr in (set, way). */
     void redecodeWord(uint32_t set, unsigned way, uint32_t addr);
@@ -484,11 +474,12 @@ class Cache
     std::vector<uint8_t> data_; ///< backing storage
     /** Decoded mirror of data_, one entry per word; empty = disabled. */
     std::vector<isa::DecodedInst> decoded_;
+    /** Block entered at each word of decoded_ (same layout). */
+    std::vector<isa::BlockMeta> meta_;
+    /** Per frame: decoded_ changed since meta_ was last scanned. */
+    std::vector<uint8_t> stale_;
     /** Word-value memo feeding decoded_ (decompressed words repeat). */
     std::unique_ptr<isa::PredecodeMemo> memo_;
-    /** Per-frame generation stamps (numSets * assoc); see lineGen(). */
-    std::vector<uint64_t> frameGen_;
-    uint64_t genClock_ = 0;
     uint64_t useClock_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

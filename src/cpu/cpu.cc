@@ -140,11 +140,11 @@ executeAlu(const Instruction &inst, uint32_t *regs, uint32_t &hi,
  * In-block load-use stalls of instructions [from, to) of a block: bit i
  * of BlockMeta::stallMask belongs to instruction i.
  */
-inline uint32_t
+inline uint64_t
 blockStalls(const isa::BlockMeta &meta, uint64_t from, uint64_t to)
 {
     uint64_t bits = meta.stallMask & ((uint64_t{1} << to) - 1);
-    return static_cast<uint32_t>(std::popcount(bits >> from));
+    return static_cast<uint64_t>(std::popcount(bits >> from));
 }
 
 } // namespace
@@ -885,21 +885,14 @@ Cpu::step()
 void
 Cpu::runBlocks()
 {
-    if (!blockCache_) {
-        blockCache_ =
-            std::make_unique<isa::BlockCache>(config_.icache.lineBytes);
-    }
     const uint32_t line_mask = config_.icache.lineBytes - 1;
-    const uint32_t line_words = config_.icache.lineBytes / 4;
     while (true) {
-        // One tag check validates the whole line-resident block:
-        // residency (hit/miss exactly where the per-instruction path
-        // would miss — a block never crosses a line boundary, and
-        // nothing inside a block can touch the I-cache) and content
-        // (the frame generation, bumped by every fill/swic/write/
-        // invalidation, keyed against the block). Execution then reads
-        // the validated frame's decoded mirror directly — blocks carry
-        // accounting, not instruction copies.
+        // One tag check validates the whole line-resident block: a
+        // block never crosses a line boundary and nothing inside one
+        // can touch the I-cache, so it hits or misses exactly where the
+        // per-instruction path would. The frame hands back its decoded
+        // mirror and the block metas beside it, rescanned by the cache
+        // whenever the frame's words changed.
         if ((pc_ & 3) != 0) [[unlikely]] {
             raiseMc(McKind::MisalignedFetch, pc_, false);
             break;
@@ -916,15 +909,15 @@ Cpu::runBlocks()
             icache_.peekFetchLine(pc_, line);
         }
         uint32_t off_words = (pc_ & line_mask) / 4;
-        const isa::DecodedInst *insts = line.decoded + off_words;
-        isa::DecodedBlock &b = blockCache_->slot(pc_);
-        if (!b.matches(pc_, line.gen)) {
-            blockCache_->build(b, pc_, line.gen, insts,
-                               line_words - off_words);
-            if (config_.observer) [[unlikely]]
-                config_.observer->blockBuilt(b.meta.len);
+        const isa::BlockMeta &meta = line.meta[off_words];
+        if (config_.observer) [[unlikely]]
+            config_.observer->blockDispatched(meta.len);
+        if (meta.startsInvalid) {
+            ++stats_.icacheAccesses;  // the faulting fetch, as in step()
+            raiseMc(McKind::InvalidInst, pc_, false);
+            break;
         }
-        uint64_t k = b.meta.len;
+        uint64_t k = meta.len;
         if (config_.maxUserInsns) {
             // Never run past the instruction budget: the per-block adds
             // must land on exactly the counts the per-instruction loop
@@ -933,7 +926,14 @@ Cpu::runBlocks()
             if (k > remaining)
                 k = remaining;
         }
-        executeBlock(b.meta, insts, k);
+        uint32_t pc = pc_;
+        uint64_t ran = runBlock<false>(meta, line.decoded + off_words, k,
+                                       pc, regs_.data());
+        pc_ = pc;
+        // Batched fetch accounting: the single dispatch lookup stood in
+        // for one hit per instruction that ran.
+        stats_.icacheAccesses += ran;
+        icache_.creditFetchHits(ran - 1);
         if (stats_.halted || stats_.machineCheckHalt || stats_.cancelled)
             break;
         if (config_.maxUserInsns &&
@@ -946,19 +946,12 @@ Cpu::runBlocks()
     }
 }
 
-void
-Cpu::executeBlock(const isa::BlockMeta &meta,
-                  const isa::DecodedInst *insts, uint64_t k)
+template <bool Handler>
+inline uint64_t
+Cpu::runBlock(const isa::BlockMeta &meta, const isa::DecodedInst *insts,
+              uint64_t k, uint32_t &pc, uint32_t *regs)
 {
-    if (meta.startsInvalid) {
-        ++stats_.icacheAccesses;  // the faulting fetch, as in step()
-        raiseMc(McKind::InvalidInst, pc_, false);
-        return;
-    }
-    // Batched fetch accounting: the single dispatch lookup stood in for
-    // k per-instruction fetches (each a hit — see runBlocks()). The
-    // I-cache's own hit counter is credited once the block is done.
-    stats_.icacheAccesses += k;
+    uint64_t &insns = Handler ? stats_.handlerInsns : stats_.userInsns;
     // The first instruction's interlock depends on state carried in
     // from before the block; the in-block stalls are precomputed.
     if (lastLoadDest_ != 0) {
@@ -975,39 +968,44 @@ Cpu::executeBlock(const isa::BlockMeta &meta,
         k == meta.len ? meta.internalStalls : blockStalls(meta, 0, k);
     stats_.cycles += k + stalls;
     stats_.loadUseStalls += stalls;
-    stats_.userInsns += k;
-    lastLoadDest_ = insts[k - 1].isLoad ? insts[k - 1].dest : 0;
+    insns += k;
+    if (k == meta.len)
+        lastLoadDest_ = meta.lastLoadDest;
+    else
+        lastLoadDest_ = insts[k - 1].isLoad ? insts[k - 1].dest : 0;
 
     // Architectural effects, plus the paths that stay per-instruction:
     // D-cache traffic, predictor updates, control-flow penalties. The
     // ALU subset runs inline (identical semantics — execute() consults
     // the same helper first); only loads, stores, control transfers and
     // system ops pay the out-of-line interpreter call.
-    uint32_t pc = pc_;
-    uint32_t *regs = regs_.data();
     for (uint64_t i = 0; i < k; ++i) {
         const isa::DecodedInst &d = insts[i];
+        // iret is counted (cycle + instruction + interlock) but not
+        // executed, exactly as the per-instruction loop breaks — also
+        // when it is the budget's last instruction. It always ends its
+        // block.
+        if (Handler && d.inst.op == Op::Iret)
+            return i + 1;
         if (executeAlu(d.inst, regs, hi_, lo_)) {
             pc += 4;
-        } else {
-            pc = executeSlow(d, pc, regs, false);
-            if (stats_.machineCheckHalt) [[unlikely]] {
-                // Stop at the faulting instruction, which step() counts
-                // last: take back what the batch charged past it.
-                uint64_t tail = k - 1 - i;
-                uint64_t tail_stalls = blockStalls(meta, i + 1, k);
-                stats_.icacheAccesses -= tail;
-                stats_.userInsns -= tail;
-                stats_.cycles -= tail + tail_stalls;
-                stats_.loadUseStalls -= tail_stalls;
-                icache_.creditFetchHits(i);
-                pc_ = pc;
-                return;
-            }
+            continue;
+        }
+        pc = executeSlow(d, pc, regs, Handler);
+        bool faulted = Handler ? pendingFault_ != McKind::None
+                               : stats_.machineCheckHalt;
+        if (faulted) [[unlikely]] {
+            // The per-instruction loops stop counting at the faulting
+            // instruction: take back what the batch charged past it.
+            uint64_t tail = k - 1 - i;
+            uint64_t tail_stalls = blockStalls(meta, i + 1, k);
+            insns -= tail;
+            stats_.cycles -= tail + tail_stalls;
+            stats_.loadUseStalls -= tail_stalls;
+            return i + 1;
         }
     }
-    icache_.creditFetchHits(k - 1);
-    pc_ = pc;
+    return k;
 }
 
 McKind
@@ -1103,78 +1101,37 @@ Cpu::runHandler(uint32_t addr, uint32_t entry)
     return pendingFault_;
 }
 
-uint32_t
+void
 Cpu::runHandlerBlocks(uint32_t hpc, uint32_t *regs, uint64_t budget_end)
 {
     // Handler RAM is immutable after load(), so its blocks were scanned
-    // once there and need no residency or generation checks: dispatch
+    // once there and need no residency or staleness checks: dispatch
     // is an array read plus one batched stats add per block.
     while (true) {
         if ((hpc & 3) != 0 || !handlerRam_.contains(hpc)) [[unlikely]] {
             raiseMc(McKind::HandlerRunaway, hpc, true);
-            return hpc;
+            return;
         }
         if (cancelPoll()) [[unlikely]]
-            return hpc;
+            return;
         const isa::DecodedInst *insts;
-        const isa::BlockMeta &m = handlerRam_.blockAt(hpc, insts);
-        RTDC_ASSERT(!m.startsInvalid,
+        const isa::BlockMeta &meta = handlerRam_.blockAt(hpc, insts);
+        RTDC_ASSERT(!meta.startsInvalid,
                     "invalid handler instruction at 0x%08x", hpc);
         // Never run past the instruction budget: like runBlocks() with
         // maxUserInsns, the block is cut to what is left of it, so the
         // batched adds land on the per-instruction loop's counts.
-        uint32_t k = m.len;
+        uint64_t k = meta.len;
         if (budget_end && stats_.handlerInsns + k > budget_end)
-            k = static_cast<uint32_t>(budget_end - stats_.handlerInsns);
-        if (lastLoadDest_ != 0) {
-            const isa::DecodedInst &d0 = insts[0];
-            for (unsigned s = 0; s < d0.nsrc; ++s) {
-                if (d0.srcs[s] == lastLoadDest_) {
-                    ++stats_.cycles;
-                    ++stats_.loadUseStalls;
-                    break;
-                }
-            }
-        }
-        uint32_t stalls =
-            k == m.len ? m.internalStalls : blockStalls(m, 0, k);
-        stats_.cycles += k + stalls;
-        stats_.loadUseStalls += stalls;
-        stats_.handlerInsns += k;
-        if (k == m.len)
-            lastLoadDest_ = m.lastLoadDest;
-        else
-            lastLoadDest_ = insts[k - 1].isLoad ? insts[k - 1].dest : 0;
-
-        uint32_t pc = hpc;
-        for (uint32_t i = 0; i < k; ++i) {
-            const isa::DecodedInst &d = insts[i];
-            // iret is counted (cycle + instruction + interlock) but not
-            // executed, exactly as the per-instruction loop breaks —
-            // also when it is the budget's last instruction.
-            if (d.inst.op == Op::Iret)
-                return pc;
-            if (executeAlu(d.inst, regs, hi_, lo_)) {
-                pc += 4;
-            } else {
-                pc = executeSlow(d, pc, regs, true);
-                if (pendingFault_ != McKind::None) [[unlikely]] {
-                    // The per-instruction loop stops counting at the
-                    // faulting instruction: take back the block's tail.
-                    uint32_t tail = k - 1 - i;
-                    uint32_t tail_stalls = blockStalls(m, i + 1, k);
-                    stats_.handlerInsns -= tail;
-                    stats_.cycles -= tail + tail_stalls;
-                    stats_.loadUseStalls -= tail_stalls;
-                    return pc;
-                }
-            }
-        }
-        hpc = pc;
+            k = budget_end - stats_.handlerInsns;
+        uint64_t ran = runBlock<true>(meta, insts, k, hpc, regs);
+        if (pendingFault_ != McKind::None ||
+            insts[ran - 1].inst.op == Op::Iret)
+            return;
         if (budget_end && stats_.handlerInsns >= budget_end)
             [[unlikely]] {
             raiseMc(McKind::HandlerRunaway, hpc, true);
-            return hpc;
+            return;
         }
     }
 }

@@ -98,14 +98,14 @@ struct CpuConfig
     /**
      * Block execution engine: dispatch straight-line runs of predecoded
      * instructions (ending at a control transfer or an I-line boundary)
-     * from a direct-mapped block cache, paying one I-cache tag check
-     * and one batched stats/cycles add per block instead of per
-     * instruction (DESIGN.md section 11). Requires predecode; falls
-     * back to per-instruction stepping under profiling, tracing, and
-     * the procedure-cache baseline. Host-side memoization only —
-     * RunStats are identical either way (tests/cpu/test_blocks.cc and
-     * the engine_parity_smoke ctest assert it); off = escape hatch
-     * and perf baseline.
+     * described by the block metas kept beside each I-cache frame's
+     * decoded mirror, paying one I-cache tag check and one batched
+     * stats/cycles add per block instead of per instruction (DESIGN.md
+     * section 11). Requires predecode; falls back to per-instruction
+     * stepping under profiling, tracing, and the procedure-cache
+     * baseline. Host-side memoization only — RunStats are identical
+     * either way (tests/cpu/test_blocks.cc and the engine_parity_smoke
+     * ctest assert it); off = escape hatch and perf baseline.
      */
     bool blockExec = true;
     /**
@@ -166,10 +166,10 @@ struct CpuConfig
     /**
      * Observability sink (src/obs/): when non-null the Cpu reports
      * miss-service spans, handler invocations, swic installs, machine
-     * checks and block builds to it. Default null = zero overhead: every
-     * hook site is one never-taken branch, and no hook mutates simulator
-     * state, so RunStats are byte-identical either way (tests/obs/
-     * asserts it). Normally set by core::System from
+     * checks and dispatched user blocks to it. Default null = zero
+     * overhead: every hook site is one never-taken branch, and no hook
+     * mutates simulator state, so RunStats are byte-identical either
+     * way (tests/obs/ asserts it). Normally set by core::System from
      * SystemConfig::observe, not by hand.
      */
     obs::Observer *observer = nullptr;
@@ -330,38 +330,47 @@ class Cpu
     }
     /// @}
 
-    /** Block cache (nullptr until the first block-mode run()). */
-    const isa::BlockCache *blockCache() const { return blockCache_.get(); }
-
   private:
     /** Execute one user instruction (fetch, decode, execute, retire). */
     void step();
     /**
      * Block-dispatch main loop (the blockExec fast path): per block,
-     * one I-cache tag check validates residency and generation for the
-     * whole line-resident block, servicing a miss and/or rebuilding the
-     * block when needed, then executes it from the frame's decoded
-     * mirror.
+     * one I-cache tag check validates residency for the whole
+     * line-resident block, servicing a miss when needed; the frame
+     * returns its decoded mirror and the block metas beside it, and
+     * runBlock() executes the block from the mirror. Owns what is
+     * user-only: I-cache fetch credits, the maxUserInsns cut, and the
+     * halt-on-machine-check exit.
      */
     void runBlocks();
     /**
-     * Execute the first @p k instructions of the block described by
-     * @p meta at @p insts (k < len only when maxUserInsns expires
-     * mid-block): batched fetch/cycle/instruction accounting, then
-     * per-instruction execution for the architectural effects and the
-     * per-instruction timing paths (D-cache, predictor, memory).
-     */
-    void executeBlock(const isa::BlockMeta &meta,
-                      const isa::DecodedInst *insts, uint64_t k);
-    /**
-     * runHandler()'s dispatch loop over the handler RAM's blocks. A
-     * block is clamped to the instructions left in the budget, so
-     * HandlerRunaway latches at the same instruction, hpc and counts
-     * as in the per-instruction loop.
+     * runHandler()'s dispatch loop over the handler RAM's blocks. Owns
+     * what is handler-only: iret ends the invocation, and a block is
+     * cut to the instructions left in the budget, so HandlerRunaway
+     * latches at the same instruction, hpc and counts as in the
+     * per-instruction loop.
      * @param budget_end handlerInsns bound (0 = unlimited).
      */
-    uint32_t runHandlerBlocks(uint32_t hpc, uint32_t *regs,
-                              uint64_t budget_end);
+    void runHandlerBlocks(uint32_t hpc, uint32_t *regs,
+                          uint64_t budget_end);
+    /**
+     * The block steps both dispatch loops share: charge the first @p k
+     * instructions of the block @p meta at @p insts (k < len only when
+     * a budget expires mid-block) — the first instruction's interlock
+     * check, one batched add of cycles, in-block stalls and
+     * instructions, and the interlock state left behind — then execute
+     * them from @p pc, which is advanced. The ALU subset runs inline;
+     * everything else takes the per-instruction paths (D-cache,
+     * predictor, memory). A machine check raised mid-block takes back
+     * what was charged past the faulting instruction. A handler block
+     * counts its closing iret but does not execute it.
+     * @return how many of the k instructions ran (the faulting one
+     *         included)
+     */
+    template <bool Handler>
+    [[gnu::always_inline]] inline uint64_t
+    runBlock(const isa::BlockMeta &meta, const isa::DecodedInst *insts,
+             uint64_t k, uint32_t &pc, uint32_t *regs);
     /**
      * Fetch the (pre)decoded instruction at pc_, servicing any miss.
      * The reference points into the I-cache's decoded store (predecode
@@ -552,8 +561,6 @@ class Cpu
     std::vector<uint8_t> wbBuf_;
     /** Per-fetch decode slot for the predecode-off path. */
     isa::DecodedInst fetchScratch_;
-    /** User-side block cache (created lazily by runBlocks()). */
-    std::unique_ptr<isa::BlockCache> blockCache_;
     /** Handler block dispatch enabled for this run (set by run()). */
     bool handlerBlocks_ = false;
 };

@@ -502,7 +502,9 @@ class Json::Parser
      * part (a leading '+', an exponent without digits, a value out of
      * range) goes to strtod, so every token means what strtoll and
      * strtod make of it. Integers out of int64 range become UInt when
-     * they fit uint64, else the nearest double.
+     * they fit uint64, else the nearest double. An integral negative
+     * zero ("-0", the way dump() prints the double -0.0) stays the
+     * double -0.0, so a -0.0 survives a dump and parse.
      */
     bool parseNumber(Json &out)
     {
@@ -532,7 +534,7 @@ class Json::Parser
             int64_t v = 0;
             std::from_chars_result r = std::from_chars(first, last, v);
             if (r.ec == std::errc() && r.ptr == last) {
-                out = Json(v);
+                out = v == 0 && *first == '-' ? Json(-0.0) : Json(v);
                 return true;
             }
             uint64_t u = 0;

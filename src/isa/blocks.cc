@@ -1,9 +1,6 @@
 #include "isa/blocks.h"
 
-#include <algorithm>
 #include <bit>
-
-#include "support/logging.h"
 
 namespace rtd::isa {
 
@@ -23,50 +20,52 @@ endsBlock(const DecodedInst &d)
     }
 }
 
-BlockMeta
-scanBlock(const DecodedInst *insts, uint32_t max_words, bool swic_ends)
+void
+scanBlocks(const DecodedInst *insts, uint32_t n, BlockMeta *out,
+           bool swic_ends)
 {
-    RTDC_ASSERT(max_words >= 1, "scanBlock over an empty window");
-    BlockMeta meta;
-    if (!insts[0].inst.valid()) {
-        meta.len = 1;
-        meta.startsInvalid = true;
-        return meta;
-    }
-    uint32_t n = std::min(max_words, kMaxBlockWords);
-    for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t i = n; i-- > 0;) {
         const DecodedInst &d = insts[i];
-        if (!d.inst.valid())
-            break;  // the undecodable word starts its own block
-        if (i > 0) {
-            const DecodedInst &prev = insts[i - 1];
-            if (prev.isLoad && prev.dest != 0) {
-                for (unsigned s = 0; s < d.nsrc; ++s) {
-                    if (d.srcs[s] == prev.dest) {
-                        meta.stallMask |= 1u << i;
-                        break;
-                    }
+        BlockMeta &meta = out[i];
+        meta = BlockMeta{};
+        meta.len = 1;
+        if (!d.inst.valid()) {
+            meta.startsInvalid = true;
+            continue;
+        }
+        bool ends = i + 1 == n || !insts[i + 1].inst.valid() ||
+                    (endsBlock(d) && (swic_ends || d.inst.op != Op::Swic));
+        if (ends) {
+            meta.lastLoadDest = d.isLoad ? d.dest : 0;
+            continue;
+        }
+        // The block at i is d followed by the block at i + 1, whose
+        // instruction j becomes instruction j + 1 here: its stall bits
+        // shift up by one, and bit 1 is the stall d itself causes.
+        const BlockMeta &next = out[i + 1];
+        meta.stallMask = next.stallMask << 1;
+        if (d.isLoad && d.dest != 0) {
+            const DecodedInst &succ = insts[i + 1];
+            for (unsigned s = 0; s < succ.nsrc; ++s) {
+                if (succ.srcs[s] == d.dest) {
+                    meta.stallMask |= 2u;
+                    break;
                 }
             }
         }
-        ++meta.len;
-        if (endsBlock(d) && (swic_ends || d.inst.op != Op::Swic))
-            break;
+        if (next.len < kMaxBlockWords) {
+            meta.len = static_cast<uint8_t>(next.len + 1);
+            meta.lastLoadDest = next.lastLoadDest;
+        } else {
+            // Capped: the block drops the successor's last instruction
+            // (its stall bit fell off the top of the shift above).
+            meta.len = static_cast<uint8_t>(kMaxBlockWords);
+            const DecodedInst &last = insts[i + kMaxBlockWords - 1];
+            meta.lastLoadDest = last.isLoad ? last.dest : 0;
+        }
+        meta.internalStalls =
+            static_cast<uint8_t>(std::popcount(meta.stallMask));
     }
-    meta.internalStalls =
-        static_cast<uint8_t>(std::popcount(meta.stallMask));
-    const DecodedInst &last = insts[meta.len - 1];
-    meta.lastLoadDest = last.isLoad ? last.dest : 0;
-    return meta;
-}
-
-BlockCache::BlockCache(uint32_t line_bytes, unsigned entries_log2)
-    : wordsPerBlock_(std::min(line_bytes / 4, kMaxBlockWords)),
-      shift_(32 - entries_log2)
-{
-    RTDC_ASSERT(line_bytes >= 4 && (line_bytes & 3) == 0,
-                "block cache needs word-multiple lines (%u)", line_bytes);
-    entries_.resize(size_t{1} << entries_log2);
 }
 
 } // namespace rtd::isa

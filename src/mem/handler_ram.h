@@ -71,32 +71,11 @@ class HandlerRam
     }
 
     /**
-     * Static accounting of the block entered at @p addr. Handler text
-     * is immutable after load(), so blocks exist for every word index,
-     * are computed once at load time, and never need invalidation — the
-     * handler side of block execution has no generation checks at all.
-     */
-    const isa::BlockMeta &
-    blockMetaAt(uint32_t addr) const
-    {
-        RTDC_ASSERT(contains(addr), "handler fetch outside RAM: 0x%08x",
-                    addr);
-        RTDC_ASSERT((addr & 3) == 0, "misaligned handler fetch: 0x%08x",
-                    addr);
-        return blockMeta_[(addr - base) / 4];
-    }
-
-    /** Predecoded instructions starting at @p addr (must be inside). */
-    const isa::DecodedInst *
-    decodedFrom(uint32_t addr) const
-    {
-        return decoded_.data() + (addr - base) / 4;
-    }
-
-    /**
-     * Block dispatch in one probe: blockMetaAt() + decodedFrom() with a
-     * single bounds check and index computation, for the handler-block
-     * loop that runs once per dispatched block.
+     * Block dispatch in one probe: the static accounting of the block
+     * entered at @p addr, with @p insts set to its predecoded
+     * instructions. Handler text is immutable after load(), so the
+     * blocks of every word were scanned there, once, and never need
+     * invalidation.
      */
     const isa::BlockMeta &
     blockAt(uint32_t addr, const isa::DecodedInst *&insts) const

@@ -138,7 +138,7 @@ Observer::machineCheck(uint8_t kind, uint32_t addr, uint64_t cycle)
 }
 
 void
-Observer::blockBuilt(uint32_t len)
+Observer::blockDispatched(uint32_t len)
 {
     blockLen_->record(len);
 }

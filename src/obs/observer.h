@@ -26,7 +26,8 @@
  *  - histogram "proc_fault_service_cycles" count == procFaults
  *  - counter   "dmem_faults"         == RunStats::dmemFaults
  *  - histogram "dmiss_service_cycles" count == dmemFaults
- *  - histogram "block_len_insns"     (blocks engine only)
+ *  - histogram "block_len_insns"     one entry per dispatched user
+ *                                    block (blocks engine only)
  */
 
 #ifndef RTDC_OBS_OBSERVER_H
@@ -100,8 +101,9 @@ class Observer
     void swicWrite(uint32_t addr, uint64_t cycle);
     /** @p kind is a cpu::McKind (kept numeric: no cpu dependency). */
     void machineCheck(uint8_t kind, uint32_t addr, uint64_t cycle);
-    /** A block of @p len instructions entered the block cache. */
-    void blockBuilt(uint32_t len);
+    /** The blocks engine dispatched a user block of @p len
+     *  instructions. */
+    void blockDispatched(uint32_t len);
     /// @}
 
     /// @name Post-run access

@@ -8,16 +8,21 @@
  * blocks on must produce *identical* RunStats — cycles, misses,
  * interlock stalls, everything — to the same run with blocks off, for
  * every compression scheme, including while decompression handlers
- * swic-install words into lines whose blocks are live in the block
- * cache. Below: scanBlock unit tests (terminators, line caps, interlock
- * masks), BlockCache build/validate behaviour, the I-cache generation
- * invariants that make cached blocks coherent, and end-to-end RunStats
- * parity across schemes, eviction pressure, mid-block timeouts,
- * handler instruction budgets that expire mid-block, and machine checks
- * raised in the middle of a block.
+ * swic-install words into lines whose blocks are being dispatched.
+ * Below: the backward block scanner (named cases, then every word of
+ * random windows against a forward oracle), the I-cache frame's block
+ * metas (rescanned after every change to the frame's words), the
+ * handler RAM's load-time blocks, and end-to-end RunStats parity across
+ * schemes, eviction pressure, mid-block timeouts, handler instruction
+ * budgets that expire mid-block, and machine checks raised in the
+ * middle of a block.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -29,6 +34,7 @@
 #include "mem/handler_ram.h"
 #include "obs/observer.h"
 #include "runtime/handlers.h"
+#include "stats_parity.h"
 #include "workload/benchmarks.h"
 #include "workload/generator.h"
 
@@ -49,8 +55,76 @@ addiuWord(uint8_t rs, uint8_t rt, uint16_t imm)
     return isa::encodeI(isa::Op::Addiu, rs, rt, imm);
 }
 
+uint32_t
+iretWord()
+{
+    isa::Instruction inst;
+    inst.op = isa::Op::Iret;
+    return isa::encode(inst);
+}
+
+/** An unassigned primary opcode: the word does not decode. */
+constexpr uint32_t kInvalidWord = 0x3eu << 26;
+
+/**
+ * The forward scanner the backward pass replaced, kept as the oracle:
+ * the block entered at insts[0], looking at most @p n words ahead.
+ */
+isa::BlockMeta
+forwardScan(const isa::DecodedInst *insts, uint32_t n, bool swic_ends)
+{
+    isa::BlockMeta meta;
+    if (!insts[0].inst.valid()) {
+        meta.len = 1;
+        meta.startsInvalid = true;
+        return meta;
+    }
+    uint32_t limit = std::min(n, isa::kMaxBlockWords);
+    for (uint32_t i = 0; i < limit; ++i) {
+        const isa::DecodedInst &d = insts[i];
+        if (!d.inst.valid())
+            break;
+        if (i > 0 && insts[i - 1].isLoad && insts[i - 1].dest != 0) {
+            for (unsigned s = 0; s < d.nsrc; ++s) {
+                if (d.srcs[s] == insts[i - 1].dest) {
+                    meta.stallMask |= 1u << i;
+                    break;
+                }
+            }
+        }
+        ++meta.len;
+        if (isa::endsBlock(d) && (swic_ends || d.inst.op != isa::Op::Swic))
+            break;
+    }
+    meta.internalStalls =
+        static_cast<uint8_t>(std::popcount(meta.stallMask));
+    const isa::DecodedInst &last = insts[meta.len - 1];
+    meta.lastLoadDest = last.isLoad ? last.dest : 0;
+    return meta;
+}
+
+void
+expectSameMeta(const isa::BlockMeta &got, const isa::BlockMeta &want,
+               const std::string &label)
+{
+    EXPECT_EQ(got.len, want.len) << label;
+    EXPECT_EQ(got.stallMask, want.stallMask) << label;
+    EXPECT_EQ(got.internalStalls, want.internalStalls) << label;
+    EXPECT_EQ(got.lastLoadDest, want.lastLoadDest) << label;
+    EXPECT_EQ(got.startsInvalid, want.startsInvalid) << label;
+}
+
+/** The block entered at the first word of a @p n-word window. */
+isa::BlockMeta
+scanFirst(const isa::DecodedInst *insts, uint32_t n, bool swic_ends = true)
+{
+    std::vector<isa::BlockMeta> out(n);
+    isa::scanBlocks(insts, n, out.data(), swic_ends);
+    return out[0];
+}
+
 // ---------------------------------------------------------------------
-// scanBlock: boundaries, interlock accounting, invalid words.
+// scanBlocks: named cases, then the forward oracle on random windows.
 // ---------------------------------------------------------------------
 
 TEST(ScanBlock, ControlTransfersTerminate)
@@ -59,22 +133,26 @@ TEST(ScanBlock, ControlTransfersTerminate)
         addiuWord(0, isa::T0, 1),
         addiuWord(0, isa::T1, 2),
         isa::encodeI(isa::Op::Beq, isa::T0, isa::T1, 8),
-        addiuWord(0, isa::T2, 3),  // must not be reached by the scan
+        addiuWord(0, isa::T2, 3),  // starts the next block
     };
     isa::DecodedInst insts[4];
     for (int i = 0; i < 4; ++i)
         insts[i] = di(words[i]);
-    isa::BlockMeta m = isa::scanBlock(insts, 4);
-    EXPECT_EQ(m.len, 3u);  // block includes its terminating branch
-    EXPECT_FALSE(m.startsInvalid);
+    isa::BlockMeta out[4];
+    isa::scanBlocks(insts, 4, out, true);
+    EXPECT_EQ(out[0].len, 3u);  // block includes its terminating branch
+    EXPECT_EQ(out[1].len, 2u);
+    EXPECT_EQ(out[2].len, 1u);
+    EXPECT_EQ(out[3].len, 1u);
+    EXPECT_FALSE(out[0].startsInvalid);
 
     isa::DecodedInst jr[2] = {di(isa::encodeR(isa::Op::Jr, isa::Ra, 0, 0)),
                               di(addiuWord(0, isa::T0, 1))};
-    EXPECT_EQ(isa::scanBlock(jr, 2).len, 1u);
+    EXPECT_EQ(scanFirst(jr, 2).len, 1u);
 
     isa::DecodedInst j[2] = {di(isa::encodeJ(isa::Op::J, 0x100)),
                              di(addiuWord(0, isa::T0, 1))};
-    EXPECT_EQ(isa::scanBlock(j, 2).len, 1u);
+    EXPECT_EQ(scanFirst(j, 2).len, 1u);
 }
 
 TEST(ScanBlock, SwicTerminatesIcacheBlocksOnly)
@@ -87,20 +165,24 @@ TEST(ScanBlock, SwicTerminatesIcacheBlocksOnly)
         di(addiuWord(0, isa::T2, 1)),
         di(addiuWord(0, isa::T3, 2)),
     };
-    EXPECT_EQ(isa::scanBlock(insts, 3).len, 1u);
-    EXPECT_EQ(isa::scanBlock(insts, 3, /*swic_ends=*/false).len, 3u);
+    EXPECT_EQ(scanFirst(insts, 3).len, 1u);
+    EXPECT_EQ(scanFirst(insts, 3, /*swic_ends=*/false).len, 3u);
 }
 
 TEST(ScanBlock, LineBoundaryCapsLength)
 {
-    isa::DecodedInst insts[8];
-    for (int i = 0; i < 8; ++i)
+    isa::DecodedInst insts[40];
+    for (int i = 0; i < 40; ++i)
         insts[i] = di(addiuWord(0, isa::T0, static_cast<uint16_t>(i)));
     // No terminator: the window (a line's remaining words) caps the
-    // block.
-    EXPECT_EQ(isa::scanBlock(insts, 8).len, 8u);
-    EXPECT_EQ(isa::scanBlock(insts, 3).len, 3u);
-    EXPECT_EQ(isa::scanBlock(insts, 1).len, 1u);
+    // block, and so does kMaxBlockWords.
+    EXPECT_EQ(scanFirst(insts, 8).len, 8u);
+    EXPECT_EQ(scanFirst(insts, 3).len, 3u);
+    EXPECT_EQ(scanFirst(insts, 1).len, 1u);
+    isa::BlockMeta out[40];
+    isa::scanBlocks(insts, 40, out, true);
+    for (uint32_t i = 0; i < 40; ++i)
+        EXPECT_EQ(out[i].len, std::min(40 - i, isa::kMaxBlockWords)) << i;
 }
 
 TEST(ScanBlock, StallMaskCountsInBlockLoadUse)
@@ -111,7 +193,7 @@ TEST(ScanBlock, StallMaskCountsInBlockLoadUse)
         di(isa::encodeI(isa::Op::Lw, isa::Sp, isa::T3, 4)),
         di(addiuWord(isa::T0, isa::T4, 1)),  // does not consume t3
     };
-    isa::BlockMeta m = isa::scanBlock(insts, 4);
+    isa::BlockMeta m = scanFirst(insts, 4);
     EXPECT_EQ(m.len, 4u);
     // Only instruction 1 consumes the destination of the load right
     // before it; bit 0 is reserved for the dynamic dispatch-time check.
@@ -119,6 +201,12 @@ TEST(ScanBlock, StallMaskCountsInBlockLoadUse)
     EXPECT_EQ(m.internalStalls, 1u);
     // The block ends on a non-load, so no interlock state leaves it.
     EXPECT_EQ(m.lastLoadDest, 0u);
+    // Entered one word later, the same stall is the entry interlock,
+    // checked at dispatch: no in-block stall remains.
+    isa::BlockMeta out[4];
+    isa::scanBlocks(insts, 4, out, true);
+    EXPECT_EQ(out[1].stallMask, 0u);
+    EXPECT_EQ(out[1].internalStalls, 0u);
 }
 
 TEST(ScanBlock, LastLoadDestCarriesOut)
@@ -127,18 +215,18 @@ TEST(ScanBlock, LastLoadDestCarriesOut)
         di(addiuWord(0, isa::T0, 1)),
         di(isa::encodeI(isa::Op::Lw, isa::Sp, isa::T5, 0)),
     };
-    isa::BlockMeta m = isa::scanBlock(insts, 2);
+    isa::BlockMeta m = scanFirst(insts, 2);
     EXPECT_EQ(m.len, 2u);
     EXPECT_EQ(m.lastLoadDest, isa::T5);
 }
 
 TEST(ScanBlock, InvalidWordStartsItsOwnBlock)
 {
-    isa::DecodedInst bad = di(0x3eu << 26);  // unassigned primary opcode
+    isa::DecodedInst bad = di(kInvalidWord);
     ASSERT_FALSE(bad.inst.valid());
 
     // First word invalid: one-instruction block flagged startsInvalid.
-    isa::BlockMeta m = isa::scanBlock(&bad, 4);
+    isa::BlockMeta m = scanFirst(&bad, 1);
     EXPECT_EQ(m.len, 1u);
     EXPECT_TRUE(m.startsInvalid);
 
@@ -147,45 +235,73 @@ TEST(ScanBlock, InvalidWordStartsItsOwnBlock)
     // per-instruction path.
     isa::DecodedInst insts[3] = {di(addiuWord(0, isa::T0, 1)),
                                  di(addiuWord(0, isa::T1, 2)), bad};
-    isa::BlockMeta m2 = isa::scanBlock(insts, 3);
+    isa::BlockMeta m2 = scanFirst(insts, 3);
     EXPECT_EQ(m2.len, 2u);
     EXPECT_FALSE(m2.startsInvalid);
 }
 
-// ---------------------------------------------------------------------
-// BlockCache: build, validation, generation mismatch.
-// ---------------------------------------------------------------------
-
-TEST(BlockCache, BuildValidateRebuild)
+TEST(ScanBlock, MatchesTheForwardOracleOnEveryWord)
 {
-    isa::BlockCache bc(32);
-    EXPECT_EQ(bc.wordsPerBlock(), 8u);
-
-    isa::DecodedInst line[8];
-    for (int i = 0; i < 8; ++i)
-        line[i] = di(addiuWord(0, isa::T0, static_cast<uint16_t>(i)));
-
-    const uint32_t pc = 0x1008;  // word 2 of its line
-    isa::DecodedBlock &b = bc.slot(pc);
-    EXPECT_FALSE(b.matches(pc, 7));
-
-    bc.build(b, pc, /*gen=*/7, line + 2, /*words_left=*/6);
-    EXPECT_EQ(bc.builds(), 1u);
-    EXPECT_EQ(b.meta.len, 6u);
-    EXPECT_TRUE(b.matches(pc, 7));
-    // Stale generation and foreign PCs both fail validation.
-    EXPECT_FALSE(b.matches(pc, 8));
-    EXPECT_FALSE(b.matches(0x2008, 7));
-
-    // A rebuild against the new generation revalidates.
-    bc.build(b, pc, /*gen=*/8, line + 2, 6);
-    EXPECT_EQ(bc.builds(), 2u);
-    EXPECT_TRUE(b.matches(pc, 8));
-    EXPECT_FALSE(b.matches(pc, 7));
+    // Words skewed toward long straight-line runs over four registers,
+    // so load-use pairs are common and many windows hit the 32-word
+    // cap; the rest are every kind of block end and undecodable words.
+    const uint8_t regs[] = {isa::T0, isa::T1, isa::T2, isa::T3};
+    std::mt19937_64 rng(17);
+    auto reg = [&] { return regs[rng() % 4]; };
+    auto word = [&]() -> uint32_t {
+        switch (rng() % 20) {
+          case 0: return isa::encodeI(isa::Op::Beq, reg(), reg(), 4);
+          case 1: return isa::encodeR(isa::Op::Jr, isa::Ra, 0, 0);
+          case 2: return isa::encodeI(isa::Op::Swic, reg(), reg(), 0);
+          case 3: return rng() % 2 ? iretWord()
+                                   : isa::encodeI(isa::Op::Halt, 0, 0, 0);
+          case 4: return kInvalidWord;
+          case 5: case 6: case 7: case 8:
+            return isa::encodeI(isa::Op::Lw, isa::Sp, reg(), 0);
+          case 9: case 10: case 11:
+            return isa::encodeR(isa::Op::Addu, reg(), reg(), reg());
+          default:
+            return addiuWord(reg(), reg(), 1);
+        }
+    };
+    unsigned capped = 0, stalled = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        uint32_t n = 1 + static_cast<uint32_t>(rng() % 40);
+        // A third of the windows have no block end at all: handler
+        // spans longer than a block, which only the cap cuts.
+        bool straight = trial % 3 == 0;
+        std::vector<isa::DecodedInst> insts(n);
+        for (isa::DecodedInst &d : insts) {
+            d = di(straight ? (rng() % 2 ? isa::encodeI(isa::Op::Lw,
+                                                        isa::Sp, reg(), 0)
+                                         : addiuWord(reg(), reg(), 1))
+                            : word());
+        }
+        for (bool swic_ends : {true, false}) {
+            std::vector<isa::BlockMeta> out(n);
+            isa::scanBlocks(insts.data(), n, out.data(), swic_ends);
+            for (uint32_t i = 0; i < n; ++i) {
+                isa::BlockMeta want =
+                    forwardScan(insts.data() + i, n - i, swic_ends);
+                expectSameMeta(out[i], want,
+                               "trial " + std::to_string(trial) +
+                                   " word " + std::to_string(i) +
+                                   (swic_ends ? "" : " handler"));
+                capped += want.len == isa::kMaxBlockWords;
+                stalled += want.internalStalls > 0;
+            }
+        }
+    }
+    // The cases the backward pass can get wrong did occur.
+    EXPECT_GT(capped, 100u);
+    EXPECT_GT(stalled, 1000u);
 }
 
 // ---------------------------------------------------------------------
-// I-cache generation stamps: every content change must invalidate.
+// I-cache frame metas: after any change to a frame's words, the next
+// whole-line fetch must return metas equal to a fresh scan of the
+// frame's decoded mirror. (The suite keeps the name it had when frames
+// carried generation stamps instead.)
 // ---------------------------------------------------------------------
 
 class CacheGen : public ::testing::Test
@@ -205,26 +321,49 @@ class CacheGen : public ::testing::Test
         icache_.fillLine(addr, line);
     }
 
+    /**
+     * Fetch the (present) line at @p addr without counting it, and
+     * check both frame invariants: the mirror decodes the line's bytes,
+     * and the metas are a fresh scan of the mirror.
+     */
+    cache::FetchLine
+    expectFresh(uint32_t addr)
+    {
+        cache::FetchLine line;
+        icache_.peekFetchLine(addr, line);
+        const uint32_t words = icache_.config().lineBytes / 4;
+        const uint32_t base = icache_.lineAddr(addr);
+        std::vector<isa::BlockMeta> want(words);
+        isa::scanBlocks(line.decoded, words, want.data(), true);
+        for (uint32_t w = 0; w < words; ++w) {
+            EXPECT_EQ(line.decoded[w].word, icache_.read32(base + w * 4));
+            expectSameMeta(line.meta[w], want[w],
+                           "word " + std::to_string(w));
+        }
+        return line;
+    }
+
     cache::Cache icache_;
 };
 
 TEST_F(CacheGen, FillAndRefillBump)
 {
     fillWith(0x1000, isa::nopWord());
-    uint64_t g1 = icache_.lineGen(0x1000);
-    // In-place refill of the same line: contents may differ, so the
-    // generation must move even though tag and frame are unchanged.
-    fillWith(0x1000, addiuWord(0, isa::T0, 1));
-    uint64_t g2 = icache_.lineGen(0x1000);
-    EXPECT_NE(g1, g2);
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 8u);
+    // In-place refill of the same line: tag and frame are unchanged,
+    // but the contents differ, so the frame must be rescanned.
+    fillWith(0x1000, isa::encodeR(isa::Op::Jr, isa::Ra, 0, 0));
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 1u);
 }
 
 TEST_F(CacheGen, SwicOverwriteBumps)
 {
     fillWith(0x1000, isa::nopWord());
-    uint64_t g1 = icache_.lineGen(0x1000);
+    expectFresh(0x1000);
     icache_.swicWrite(0x1008, addiuWord(0, isa::T1, 3));
-    EXPECT_NE(icache_.lineGen(0x1000), g1);
+    icache_.swicWrite(0x1010, isa::encodeI(isa::Op::Halt, 0, 0, 0));
+    cache::FetchLine line = expectFresh(0x1000);
+    EXPECT_EQ(line.meta[0].len, 5u);
     // The decoded mirror followed the overwrite (predecode invariant).
     EXPECT_EQ(icache_.decodedAt(0x1008).inst.op, isa::Op::Addiu);
 }
@@ -232,27 +371,72 @@ TEST_F(CacheGen, SwicOverwriteBumps)
 TEST_F(CacheGen, EvictionReuseGetsFreshGen)
 {
     // 1KB/32B/2-way = 16 sets: addresses 1024 bytes apart share a set.
-    fillWith(0x1000, isa::nopWord());
-    uint64_t g1 = icache_.lineGen(0x1000);
+    fillWith(0x1000, isa::encodeR(isa::Op::Jr, isa::Ra, 0, 0));
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 1u);
     fillWith(0x1400, isa::nopWord());
     fillWith(0x1800, isa::nopWord());  // evicts 0x1000 (LRU)
     EXPECT_FALSE(icache_.probe(0x1000));
-    // Re-install: same tag, same bytes — but stamps are drawn from a
-    // cache-wide clock, so the (addr, gen) pair can never be confused
-    // with the evicted incarnation.
-    fillWith(0x1000, isa::nopWord());
-    EXPECT_NE(icache_.lineGen(0x1000), g1);
+    // 0x1800 reuses 0x1000's frame: its metas describe the new words.
+    EXPECT_EQ(expectFresh(0x1800).meta[0].len, 8u);
+    // A swic allocation reuses a frame too, with only one word written:
+    // the rescan covers the words the frame kept from before.
+    icache_.swicWrite(0x1004, isa::encodeI(isa::Op::Halt, 0, 0, 0));
+    EXPECT_TRUE(icache_.probe(0x1000));
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 2u);
 }
 
 TEST_F(CacheGen, WritePathsBump)
 {
     fillWith(0x1000, isa::nopWord());
-    uint64_t g1 = icache_.lineGen(0x1000);
-    icache_.write32(0x1004, addiuWord(0, isa::T2, 9));
-    uint64_t g2 = icache_.lineGen(0x1000);
-    EXPECT_NE(g1, g2);
-    ASSERT_TRUE(icache_.accessWrite(0x1008, addiuWord(0, isa::T3, 9), 4));
-    EXPECT_NE(icache_.lineGen(0x1000), g2);
+    expectFresh(0x1000);
+    const uint32_t jr = isa::encodeR(isa::Op::Jr, isa::Ra, 0, 0);
+    icache_.write32(0x101c, jr);
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 8u);
+    ASSERT_TRUE(icache_.accessWrite(0x1018, jr, 4));
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 7u);
+    // A halfword and a byte store each turn a nop into a branch.
+    const uint32_t beq = isa::encodeI(isa::Op::Beq, 0, 0, 0);
+    icache_.write16(0x1012, static_cast<uint16_t>(beq >> 16));
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 5u);
+    icache_.write8(0x100b, static_cast<uint8_t>(beq >> 24));
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 3u);
+    ASSERT_TRUE(icache_.accessWrite(0x1006, beq >> 16, 2));
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 2u);
+}
+
+TEST_F(CacheGen, FlushAndInvalidationThenRefillRescan)
+{
+    fillWith(0x1000, isa::nopWord());
+    expectFresh(0x1000);
+    icache_.flush();
+    EXPECT_FALSE(icache_.probe(0x1000));
+    fillWith(0x1000, isa::encodeI(isa::Op::Lw, isa::Sp, isa::T0, 0));
+    cache::FetchLine line = expectFresh(0x1000);
+    EXPECT_EQ(line.meta[0].stallMask, 0u);  // loads into t0, none read it
+    EXPECT_EQ(line.meta[0].lastLoadDest, isa::T0);
+
+    EXPECT_EQ(icache_.invalidateRange(0x1000, 32), 1u);
+    fillWith(0x1000, addiuWord(isa::T0, isa::T0, 1));
+    EXPECT_EQ(expectFresh(0x1000).meta[0].lastLoadDest, 0u);
+}
+
+TEST_F(CacheGen, MetasRescanAtTheNextFetch)
+{
+    // Changes only mark the frame stale; the rescan happens when the
+    // line is next fetched, into the same per-frame storage.
+    fillWith(0x1000, isa::nopWord());
+    cache::FetchLine line;
+    ASSERT_TRUE(icache_.accessFetchLine(0x1000, line));
+    EXPECT_EQ(line.meta[0].len, 8u);
+    icache_.swicWrite(0x1008, isa::encodeR(isa::Op::Jr, isa::Ra, 0, 0));
+    EXPECT_EQ(line.meta[0].len, 8u);  // not rescanned yet
+    cache::FetchLine after;
+    ASSERT_TRUE(icache_.accessFetchLine(0x1000, after));
+    EXPECT_EQ(after.meta, line.meta);
+    EXPECT_EQ(line.meta[0].len, 3u);  // now ended by the installed jr
+    // A clean frame is returned as it is.
+    ASSERT_TRUE(icache_.accessFetchLine(0x1004, after));
+    EXPECT_EQ(after.meta[1].len, 2u);
 }
 
 TEST_F(CacheGen, AccessFetchLineCountsLikeAccess)
@@ -268,14 +452,13 @@ TEST_F(CacheGen, AccessFetchLineCountsLikeAccess)
     EXPECT_EQ(icache_.hits(), hits0 + 1);
     // The mirror pointer is line-base-relative and matches decodedAt.
     EXPECT_EQ(line.decoded + 4, &icache_.decodedAt(0x1010));
-    EXPECT_EQ(line.gen, icache_.lineGen(0x1010));
 
     // peekFetchLine: same answers, no statistics, no LRU touch.
     uint64_t hits1 = icache_.hits(), misses1 = icache_.misses();
     cache::FetchLine peeked;
     icache_.peekFetchLine(0x1010, peeked);
     EXPECT_EQ(peeked.decoded, line.decoded);
-    EXPECT_EQ(peeked.gen, line.gen);
+    EXPECT_EQ(peeked.meta, line.meta);
     EXPECT_EQ(icache_.hits(), hits1);
     EXPECT_EQ(icache_.misses(), misses1);
 
@@ -287,30 +470,38 @@ TEST_F(CacheGen, AccessFetchLineCountsLikeAccess)
 
 TEST_F(CacheGen, SwicInvalidatesCachedBlock)
 {
-    // The coherence story end-to-end at cache level: a block built
-    // against a line generation must fail validation after a swic lands
-    // in that line, and the rebuild must see the new instruction.
+    // The coherence story end-to-end at cache level: the block entered
+    // at a line's first word must change when a swic lands in that
+    // line, and the new block must see the new instruction.
     fillWith(0x1000, addiuWord(0, isa::T0, 1));
-    cache::FetchLine line;
-    ASSERT_TRUE(icache_.accessFetchLine(0x1000, line));
-
-    isa::BlockCache bc(32);
-    isa::DecodedBlock &b = bc.slot(0x1000);
-    bc.build(b, 0x1000, line.gen, line.decoded, 8);
-    EXPECT_EQ(b.meta.len, 8u);
-    EXPECT_TRUE(b.matches(0x1000, line.gen));
-
+    EXPECT_EQ(expectFresh(0x1000).meta[0].len, 8u);
     icache_.swicWrite(0x1008, isa::encodeR(isa::Op::Jr, isa::Ra, 0, 0));
-    cache::FetchLine after;
-    ASSERT_TRUE(icache_.accessFetchLine(0x1000, after));
-    EXPECT_FALSE(b.matches(0x1000, after.gen));
-    bc.build(b, 0x1000, after.gen, after.decoded, 8);
-    EXPECT_EQ(b.meta.len, 3u);  // now terminated by the installed jr
-    EXPECT_TRUE(b.matches(0x1000, after.gen));
+    cache::FetchLine after = expectFresh(0x1000);
+    EXPECT_EQ(after.meta[0].len, 3u);  // now terminated by the installed jr
+    EXPECT_EQ(after.meta[3].len, 5u);  // the words after it: a new block
+}
+
+TEST(FrameMetas, LinesOver128BytesCapBlocksAt32Words)
+{
+    // CacheConfig allows lines longer than a block can be: a 256-byte
+    // line of straight-line code holds blocks of at most 32 words.
+    cache::Cache icache("icache", {4096, 256, 2});
+    icache.enablePredecode();
+    std::vector<uint8_t> bytes(256);
+    for (uint32_t w = 0; w < 64; ++w) {
+        uint32_t word = addiuWord(0, isa::T0, static_cast<uint16_t>(w));
+        std::memcpy(bytes.data() + w * 4, &word, 4);
+    }
+    icache.fillLine(0x4000, bytes.data());
+    cache::FetchLine line;
+    ASSERT_TRUE(icache.accessFetchLine(0x4000, line));
+    for (uint32_t w = 0; w < 64; ++w)
+        EXPECT_EQ(line.meta[w].len, std::min(64 - w, isa::kMaxBlockWords))
+            << w;
 }
 
 // ---------------------------------------------------------------------
-// Handler-RAM blocks: precomputed at load, swic does not split them.
+// Handler-RAM blocks: scanned at load, swic does not split them.
 // ---------------------------------------------------------------------
 
 TEST(HandlerBlocks, LoadPrecomputesConsistentBlocks)
@@ -325,17 +516,14 @@ TEST(HandlerBlocks, LoadPrecomputesConsistentBlocks)
         uint32_t addr = mem::HandlerRam::base + i * 4;
         const isa::DecodedInst *insts = nullptr;
         const isa::BlockMeta &m = ram.blockAt(addr, insts);
-        EXPECT_EQ(insts, ram.decodedFrom(addr));
-        EXPECT_EQ(&m, &ram.blockMetaAt(addr));
+        EXPECT_EQ(insts, &ram.fetchDecoded(addr));
         ASSERT_GE(m.len, 1u);
-        // Recompute from scratch: the load-time scan must agree with
-        // scanBlock over the remaining window, swic non-terminating.
-        isa::BlockMeta ref = isa::scanBlock(
-            insts, handler.staticInsns() - i, /*swic_ends=*/false);
-        EXPECT_EQ(m.len, ref.len);
-        EXPECT_EQ(m.stallMask, ref.stallMask);
-        EXPECT_EQ(m.internalStalls, ref.internalStalls);
-        EXPECT_EQ(m.lastLoadDest, ref.lastLoadDest);
+        // The load-time scan must agree with the forward oracle over
+        // the remaining handler text, swic non-terminating.
+        expectSameMeta(m,
+                       forwardScan(insts, handler.staticInsns() - i,
+                                   /*swic_ends=*/false),
+                       "handler word " + std::to_string(i));
         for (uint32_t w = 0; w + 1 < m.len; ++w) {
             if (insts[w].inst.op == isa::Op::Swic)
                 saw_interior_swic = true;
@@ -349,49 +537,6 @@ TEST(HandlerBlocks, LoadPrecomputesConsistentBlocks)
 // ---------------------------------------------------------------------
 // End-to-end parity: RunStats must not depend on blockExec.
 // ---------------------------------------------------------------------
-
-/** Field-by-field RunStats equality with a labelled failure message. */
-void
-expectIdenticalStats(const RunStats &on, const RunStats &off,
-                     const std::string &label)
-{
-    EXPECT_EQ(on.cycles, off.cycles) << label;
-    EXPECT_EQ(on.userInsns, off.userInsns) << label;
-    EXPECT_EQ(on.handlerInsns, off.handlerInsns) << label;
-    EXPECT_EQ(on.icacheAccesses, off.icacheAccesses) << label;
-    EXPECT_EQ(on.icacheMisses, off.icacheMisses) << label;
-    EXPECT_EQ(on.compressedMisses, off.compressedMisses) << label;
-    EXPECT_EQ(on.nativeMisses, off.nativeMisses) << label;
-    EXPECT_EQ(on.dcacheAccesses, off.dcacheAccesses) << label;
-    EXPECT_EQ(on.dcacheMisses, off.dcacheMisses) << label;
-    EXPECT_EQ(on.writebacks, off.writebacks) << label;
-    EXPECT_EQ(on.branchLookups, off.branchLookups) << label;
-    EXPECT_EQ(on.branchMispredicts, off.branchMispredicts) << label;
-    EXPECT_EQ(on.loadUseStalls, off.loadUseStalls) << label;
-    EXPECT_EQ(on.exceptions, off.exceptions) << label;
-    EXPECT_EQ(on.procFaults, off.procFaults) << label;
-    EXPECT_EQ(on.procEvictions, off.procEvictions) << label;
-    EXPECT_EQ(on.procCompactedBytes, off.procCompactedBytes) << label;
-    EXPECT_EQ(on.procDecompressedBytes, off.procDecompressedBytes)
-        << label;
-    EXPECT_EQ(on.dmemFaults, off.dmemFaults) << label;
-    EXPECT_EQ(on.dmemEvictions, off.dmemEvictions) << label;
-    EXPECT_EQ(on.dmemSpills, off.dmemSpills) << label;
-    EXPECT_EQ(on.dmemDecompressedBytes, off.dmemDecompressedBytes)
-        << label;
-    EXPECT_EQ(on.l2Hits, off.l2Hits) << label;
-    EXPECT_EQ(on.l2Misses, off.l2Misses) << label;
-    EXPECT_EQ(on.machineChecks, off.machineChecks) << label;
-    EXPECT_EQ(on.integrityRetries, off.integrityRetries) << label;
-    EXPECT_EQ(on.machineCheckHalt, off.machineCheckHalt) << label;
-    EXPECT_EQ(on.cancelled, off.cancelled) << label;
-    EXPECT_EQ(on.faultKind, off.faultKind) << label;
-    EXPECT_EQ(on.faultAddr, off.faultAddr) << label;
-    EXPECT_EQ(on.halted, off.halted) << label;
-    EXPECT_EQ(on.timedOut, off.timedOut) << label;
-    EXPECT_EQ(on.exitCode, off.exitCode) << label;
-    EXPECT_EQ(on.resultValue, off.resultValue) << label;
-}
 
 class BlockParity : public ::testing::Test
 {
@@ -429,8 +574,8 @@ TEST_F(BlockParity, NativeRunIsIdentical)
 TEST_F(BlockParity, DictionaryRunIsIdentical)
 {
     // The decompression handler swic-installs words into lines whose
-    // blocks are hot in the block cache: the generation bumps must
-    // resync every such block or these counters diverge.
+    // blocks are being dispatched: the stale frames must be rescanned
+    // or these counters diverge.
     expectIdenticalStats(runWith(Scheme::Dictionary, true),
                          runWith(Scheme::Dictionary, false), "dictionary");
     expectIdenticalStats(runWith(Scheme::Dictionary, true, true),
@@ -474,9 +619,8 @@ TEST_F(BlockParity, ProcCacheRunFallsBackIdentically)
 
 TEST_F(BlockParity, EvictionPressureIsIdentical)
 {
-    // A 1KB I-cache forces constant eviction and refill, exercising
-    // line replacement under blocks that were built against evicted
-    // generations (line eviction mid-run).
+    // A 1KB I-cache forces constant eviction and refill, so frames are
+    // reused for other lines mid-run and must be rescanned each time.
     auto run = [&](Scheme scheme, bool block_exec) {
         core::SystemConfig config;
         config.cpu.maxUserInsns = 20'000'000;

@@ -17,6 +17,7 @@
 
 #include "cache/cache.h"
 #include "core/system.h"
+#include "stats_parity.h"
 #include "isa/decode.h"
 #include "isa/predecode.h"
 #include "mem/handler_ram.h"
@@ -28,36 +29,6 @@ namespace rtd::cpu {
 namespace {
 
 using compress::Scheme;
-
-/** Field-by-field RunStats equality with a labelled failure message. */
-void
-expectIdenticalStats(const RunStats &on, const RunStats &off,
-                     const std::string &label)
-{
-    EXPECT_EQ(on.cycles, off.cycles) << label;
-    EXPECT_EQ(on.userInsns, off.userInsns) << label;
-    EXPECT_EQ(on.handlerInsns, off.handlerInsns) << label;
-    EXPECT_EQ(on.icacheAccesses, off.icacheAccesses) << label;
-    EXPECT_EQ(on.icacheMisses, off.icacheMisses) << label;
-    EXPECT_EQ(on.compressedMisses, off.compressedMisses) << label;
-    EXPECT_EQ(on.nativeMisses, off.nativeMisses) << label;
-    EXPECT_EQ(on.dcacheAccesses, off.dcacheAccesses) << label;
-    EXPECT_EQ(on.dcacheMisses, off.dcacheMisses) << label;
-    EXPECT_EQ(on.writebacks, off.writebacks) << label;
-    EXPECT_EQ(on.branchLookups, off.branchLookups) << label;
-    EXPECT_EQ(on.branchMispredicts, off.branchMispredicts) << label;
-    EXPECT_EQ(on.loadUseStalls, off.loadUseStalls) << label;
-    EXPECT_EQ(on.exceptions, off.exceptions) << label;
-    EXPECT_EQ(on.procFaults, off.procFaults) << label;
-    EXPECT_EQ(on.procEvictions, off.procEvictions) << label;
-    EXPECT_EQ(on.procCompactedBytes, off.procCompactedBytes) << label;
-    EXPECT_EQ(on.procDecompressedBytes, off.procDecompressedBytes)
-        << label;
-    EXPECT_EQ(on.halted, off.halted) << label;
-    EXPECT_EQ(on.timedOut, off.timedOut) << label;
-    EXPECT_EQ(on.exitCode, off.exitCode) << label;
-    EXPECT_EQ(on.resultValue, off.resultValue) << label;
-}
 
 class PredecodeParity : public ::testing::Test
 {

@@ -189,8 +189,13 @@ TEST(JsonEdge, PlusPrefixedAndOddTokensKeepTheirMeaning)
     ASSERT_TRUE(Json::parse("007", &out));
     EXPECT_EQ(out.kind(), Json::Kind::Int);
     EXPECT_EQ(out.asInt(), 7);
+    // "-0" is how dump() prints the double -0.0, so it parses back as
+    // one, and dumps as it came in.
     ASSERT_TRUE(Json::parse("-0", &out));
-    EXPECT_EQ(out.kind(), Json::Kind::Int);
+    EXPECT_EQ(out.kind(), Json::Kind::Double);
+    EXPECT_EQ(out.asDouble(), 0.0);
+    EXPECT_TRUE(std::signbit(out.asDouble()));
+    EXPECT_EQ(out.dump(), "-0");
     ASSERT_TRUE(Json::parse("1.", &out));
     EXPECT_EQ(out.asDouble(), 1.0);
     ASSERT_TRUE(Json::parse("1e999", &out));  // strtod overflow: inf
@@ -316,7 +321,8 @@ expectPrintfBytes(double value)
 
 /** The number grammar the parser was defined by: the longest run of
  *  [0-9.eE+-], then strtoll for integral tokens, strtoull for the
- *  integers above INT64_MAX, strtod for everything else. */
+ *  integers above INT64_MAX, strtod for everything else — and for an
+ *  integral negative zero, which strtoll would flatten to 0. */
 bool
 referenceNumber(const std::string &token, Json &out)
 {
@@ -326,7 +332,7 @@ referenceNumber(const std::string &token, Json &out)
     if (integral) {
         errno = 0;
         long long v = std::strtoll(token.c_str(), &end, 10);
-        if (errno == 0 && *end == '\0') {
+        if (errno == 0 && *end == '\0' && !(v == 0 && token[0] == '-')) {
             out = Json(static_cast<int64_t>(v));
             return true;
         }

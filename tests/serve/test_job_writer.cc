@@ -155,9 +155,7 @@ class JobGen
         return static_cast<E>(rng_() % (static_cast<uint64_t>(last) + 1));
     }
 
-    /** Finite doubles only: the wire has no NaN or infinity. -0.0 is
-     *  left out here; the parser reads "-0" as the integer 0, so it is
-     *  checked on its own below. */
+    /** Finite doubles only: the wire has no NaN or infinity. */
     double
     real()
     {
@@ -166,7 +164,8 @@ class JobGen
             std::numeric_limits<double>::denorm_min(),
             -std::numeric_limits<double>::denorm_min(),
             2.2250738585072009e-308,  // largest subnormal
-            0.1 + 0.2, 1.0 / 3.0, 0.0, 1.0, -1.0, 1e21, 1e-7, 123456789.0,
+            0.1 + 0.2, 1.0 / 3.0, 0.0, -0.0, 1.0, -1.0, 1e21, 1e-7,
+            123456789.0,
         };
         if (flip())
             return kEdges[rng_() % std::size(kEdges)];
@@ -174,7 +173,7 @@ class JobGen
             uint64_t bits = rng_();
             double value;
             std::memcpy(&value, &bits, sizeof value);
-            if (std::isfinite(value) && value != 0.0)
+            if (std::isfinite(value))
                 return value;
         }
     }

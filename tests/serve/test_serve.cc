@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -671,6 +672,42 @@ TEST_F(ServeTest, ResubmitIsAnsweredFromTheResultIndex)
         EXPECT_EQ(second[i].result.stats.cycles,
                   first[i].result.stats.cycles);
     }
+}
+
+TEST_F(ServeTest, NegativeZeroJobKeepsTheClientsKeyAndSweepId)
+{
+    // The canonical bytes print a -0.0 field as "-0". The daemon parses
+    // a submitted job, decodes it and re-encodes it (as
+    // Server::decodeSweepJobs does) before deriving its content key and
+    // the sweep id, so "-0" must come back as -0.0, not the integer 0.
+    Job job = tinyJob(12);
+    job.workload.branchDensity = -0.0;
+    std::string client_bytes;
+    serve::appendJobJson(client_bytes, job);
+    ASSERT_NE(client_bytes.find("\"br\":-0,"), std::string::npos);
+
+    Json parsed;
+    ASSERT_TRUE(Json::parse(client_bytes, &parsed));
+    Job decoded;
+    ASSERT_TRUE(serve::decodeJob(parsed, decoded));
+    EXPECT_TRUE(std::signbit(decoded.workload.branchDensity));
+    std::string daemon_bytes;
+    serve::appendJobJson(daemon_bytes, decoded);
+    EXPECT_EQ(daemon_bytes, client_bytes);
+    EXPECT_EQ(serve::jobContentKeyFromDump(daemon_bytes),
+              serve::jobContentKey(job));
+
+    serve::Client client = connectedClient();
+    std::string error, sweep_id;
+    uint64_t cached = 0;
+    ASSERT_TRUE(client.submit("test", {job}, sweep_id, cached, error))
+        << error;
+    EXPECT_EQ(sweep_id, serve::sweepContentId(
+                            "test", std::vector<std::string>{client_bytes}));
+    std::vector<JobResult> results(1);
+    ASSERT_TRUE(client.fetchResults(sweep_id, results, nullptr, error))
+        << error;
+    EXPECT_TRUE(results[0].ok) << results[0].error;
 }
 
 TEST_F(ServeTest, RestartedDaemonServesResultsFromDisk)
